@@ -92,6 +92,8 @@ class SweepSpec:
             previous = value
         if self.shots < 1:
             raise ConfigError("shots must be at least 1")
+        if not 0 <= self.seed < 2**128:
+            raise ConfigError(f"seed {self.seed} outside [0, 2**128)")
 
 
 def _merge(defaults: dict, overrides: dict, context: str) -> dict:
@@ -123,6 +125,21 @@ def load_config(path: str | None) -> dict:
     return _merge(DEFAULT_CONFIG, raw, context="")
 
 
+def _integer(config: dict, key: str) -> int:
+    value = config[key]
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _strengths(config: dict, key: str) -> tuple:
+    value = config[key]
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list of strengths, got {value!r}")
+    return tuple(float(v) for v in value)
+
+
 def assemble(config: dict, args: argparse.Namespace) -> tuple[SweepSpec, ExperimentConfig]:
     """Combine config values and flag overrides into run inputs."""
     if args.mode is not None:
@@ -137,11 +154,11 @@ def assemble(config: dict, args: argparse.Namespace) -> tuple[SweepSpec, Experim
         config["decoherence"] = False
     try:
         sweep = SweepSpec(
-            p_grid=tuple(float(v) for v in config["p_grid"]),
+            p_grid=_strengths(config, "p_grid"),
             mode=str(config["mode"]),
-            shots=int(config["shots"]),
-            seed=int(config["seed"]),
-            chi_p=tuple(float(v) for v in config["chi_p"]),
+            shots=_integer(config, "shots"),
+            seed=_integer(config, "seed"),
+            chi_p=_strengths(config, "chi_p"),
         )
         device = DeviceParams(
             t1_ns=float(config["device"]["t1_ns"]),
@@ -168,10 +185,10 @@ def assemble(config: dict, args: argparse.Namespace) -> tuple[SweepSpec, Experim
             use_echo_t2=bool(config["use_echo_t2"]),
             p_error_fraction=float(config["p_error_fraction"]),
         )
-    except (TypeError, KeyError) as exc:
-        raise ConfigError(f"malformed config value: {exc}") from exc
     except SimulationError as exc:
         raise ConfigError(str(exc)) from exc
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"malformed config value: {exc}") from exc
     return sweep, base
 
 

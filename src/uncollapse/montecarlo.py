@@ -7,17 +7,16 @@ jump/no-jump from the same Kraus decompositions used by exact evolution,
 so the two engines agree in expectation by construction.
 
 Randomness is counter based.  Shot ``k`` of stream ``j`` draws its
-uniforms from a Philox generator keyed by the master seed with counter
-block (j, k), so results are bit-identical no matter how shots are
-batched or distributed across workers.  Stream indices 0, 1, 2 belong to
-the x, y, z tomography settings; pipelines that need several independent
-batches (several probes, several sweep points) offset the stream index.
+uniforms from Philox4x64-10 keyed by the master seed with counter block
+(j, k), so results are bit-identical no matter how shots are batched or
+distributed across workers.  Stream indices 0, 1, 2 belong to the x, y, z
+tomography settings; pipelines that need several independent batches
+(several probes, several sweep points) offset the stream index.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .errors import DomainError, StructuralError
 from .protocol import (
@@ -38,6 +37,17 @@ from .tomography import TOMO_SETTINGS, TomographyRecord, with_tomography
 
 _KET0_DENSITY = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 _FLIP_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+# Philox4x64-10 (Salmon, Moraes, Dror & Shaw, SC'11), as numpy's Philox
+_PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)
+_PHILOX_M1 = np.uint64(0xCA5A826395121157)
+_PHILOX_W0 = np.uint64(0x9E3779B97F4A7C15)
+_PHILOX_W1 = np.uint64(0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_DOUBLE_SHIFT = np.uint64(11)
+_WORD = 1 << 64
 
 
 @dataclass(frozen=True)
@@ -79,6 +89,30 @@ def _draw_count(seq: PulseSequence, cfg: ExperimentConfig) -> int:
     return count
 
 
+def _mulhilo(m: np.uint64, x):
+    """High and low 64-bit words of the 128-bit product ``m * x``, from
+    32-bit halves so that no partial product overflows."""
+    m_lo, m_hi = m & _LOW32, m >> _SHIFT32
+    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    low_low = m_lo * x_lo
+    cross = m_hi * x_lo + (low_low >> _SHIFT32)
+    carry = m_lo * x_hi + (cross & _LOW32)
+    high = m_hi * x_hi + (cross >> _SHIFT32) + (carry >> _SHIFT32)
+    return high, m * x
+
+
+def _philox4x64(c0, c1, c2, c3, k0: np.uint64, k1: np.uint64):
+    """Ten Philox rounds on broadcastable uint64 counter words."""
+    with np.errstate(over="ignore"):
+        for _ in range(_PHILOX_ROUNDS):
+            hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
+            hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
+            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+            k0 = k0 + _PHILOX_W0
+            k1 = k1 + _PHILOX_W1
+    return c0, c1, c2, c3
+
+
 def _shot_uniforms(
     master_seed: int,
     stream_index: int,
@@ -86,12 +120,36 @@ def _shot_uniforms(
     n_shots: int,
     n_draws: int,
 ) -> np.ndarray:
-    """Per-shot uniform variates from counter-based streams."""
-    out = np.empty((n_shots, max(n_draws, 1)))
-    for i in range(n_shots):
-        bits = Philox(key=master_seed, counter=[0, 0, stream_index, shot_start + i])
-        out[i] = Generator(bits).random(max(n_draws, 1))
-    return out[:, :n_draws]
+    """Per-shot uniform variates from counter-based streams.
+
+    Row ``i`` equals ``Generator(Philox(key=master_seed, counter=[0, 0,
+    stream_index, shot_start + i])).random(n_draws)``: block ``b = 1, 2, ...``
+    of a shot is Philox4x64-10 of the counter (b, 0, stream, shot) under
+    the key (seed mod 2**64, seed >> 64), its four words are used in order,
+    and a word ``w`` becomes the double ``(w >> 11) * 2**-53``.  Every shot
+    and every block of the call is computed in one pass.
+    """
+    if not 0 <= master_seed < 2**128:
+        raise DomainError(f"seed {master_seed} outside [0, 2**128)")
+    if not 0 <= stream_index < _WORD:
+        raise DomainError(f"stream index {stream_index} outside [0, 2**64)")
+    if shot_start < 0 or n_shots < 0 or shot_start + n_shots > _WORD:
+        raise DomainError("shot indices must lie in [0, 2**64)")
+    if n_draws < 0:
+        raise DomainError("the number of draws cannot be negative")
+    n_blocks = -(-n_draws // 4)
+    blocks = np.arange(1, n_blocks + 1, dtype=np.uint64)[None, :]
+    shots = (np.uint64(shot_start) + np.arange(n_shots, dtype=np.uint64))[:, None]
+    words = _philox4x64(
+        blocks,
+        np.uint64(0),
+        np.uint64(stream_index),
+        shots,
+        np.uint64(master_seed & (_WORD - 1)),
+        np.uint64(master_seed >> 64),
+    )
+    stacked = np.stack(words, axis=-1).reshape(n_shots, 4 * n_blocks)[:, :n_draws]
+    return (stacked >> _DOUBLE_SHIFT).astype(np.float64) * 2.0**-53
 
 
 def _run_batch(seq: PulseSequence, cfg: ExperimentConfig, uniforms: np.ndarray):

@@ -184,6 +184,49 @@ def test_bad_configs_exit_2(tmp_path):
     assert main(["collapse", "--config", bad_mode, "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize(
+    "overrides, flags",
+    [
+        ({"theta0_rad": "abc"}, []),
+        ({"p_grid": "0.1"}, []),
+        ({"p_grid": "0"}, []),
+        ({"chi_p": 0.47}, []),
+        ({"shots": 2.7}, []),
+        ({"shots": True}, []),
+        ({"shots": "20"}, []),
+        ({"seed": 1.5}, []),
+        ({"seed": False}, []),
+        ({"seed": -1}, []),
+        ({"seed": 2**128}, []),
+        ({}, ["--seed", "-1"]),
+        ({}, ["--seed", str(2**128)]),
+        ({}, ["--seed", "-1", "--mode", "mc"]),
+        ({}, ["--seed", str(2**128), "--mode", "mc"]),
+    ],
+)
+@pytest.mark.parametrize("command", ["collapse", "uncollapse", "qpt"])
+def test_malformed_values_exit_2_with_one_error_line(tmp_path, capsys, command, overrides, flags):
+    cfg = _write_config(tmp_path, **overrides)
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "x.csv"), *flags]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_seeds_at_the_range_limits_and_integral_floats_run(tmp_path):
+    def run(name, **overrides):
+        cfg = _write_config(tmp_path, f"{name}.json", p_grid=[0.3], mode="mc", **overrides)
+        out = tmp_path / f"{name}.csv"
+        assert main(["uncollapse", "--config", cfg, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    run("lowest", seed=0, shots=50)
+    run("highest", seed=2**128 - 1, shots=50)
+    assert run("floats", seed=7.0, shots=50.0) == run("ints", seed=7, shots=50)
+
+
 def test_numeric_failure_exits_3(tmp_path):
     # a strength this close to 1 saturates the reversal background and the
     # reconstruction cannot be carried out

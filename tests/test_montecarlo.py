@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from uncollapse import (
     DomainError,
@@ -62,6 +63,51 @@ def test_partitioning_shots_does_not_change_outcomes():
     out_split = _run_batch(seq, cfg, split)
     assert np.array_equal(out_full[0], out_split[0])
     assert np.array_equal(out_full[1], out_split[1])
+
+
+@pytest.mark.parametrize("stream", [0, 65])
+@pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1, 2**64 + 5, 2**128 - 1])
+def test_shot_uniforms_match_numpy_philox_streams(seed, stream):
+    # the reference is numpy's own Philox4x64-10 stream, one generator per shot
+    for shot_start in (0, 10**6):
+        for n_shots in (1, 257):
+            for n_draws in (0, 1, 3, 4, 5, 15, 16):
+                got = _shot_uniforms(seed, stream, shot_start, n_shots, n_draws)
+                assert got.shape == (n_shots, n_draws)
+                assert got.dtype == np.float64
+                for i in sorted({0, 1, 128, n_shots - 1} & set(range(n_shots))):
+                    bits = Philox(key=seed, counter=[0, 0, stream, shot_start + i])
+                    want = Generator(bits).random(max(n_draws, 1))[:n_draws]
+                    assert np.array_equal(got[i], want), (shot_start, n_shots, n_draws, i)
+
+
+def test_shot_uniforms_just_inside_every_limit():
+    # the largest seed, stream and shot index; numpy turns a list counter
+    # holding a word >= 2**63 into floats, so the reference takes the 256-bit
+    # counter as one integer: words (0, 0, j, k)
+    seed, stream, first = 2**128 - 1, 2**64 - 1, 2**64 - 2
+    got = _shot_uniforms(seed, stream, first, 2, 5)
+    for i in range(2):
+        counter = (stream << 128) | ((first + i) << 192)
+        assert np.array_equal(got[i], Generator(Philox(key=seed, counter=counter)).random(5))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (-1, 0, 0, 1, 3),
+        (2**128, 0, 0, 1, 3),
+        (1, -1, 0, 1, 3),
+        (1, 2**64, 0, 1, 3),
+        (1, 0, -1, 1, 3),
+        (1, 0, 2**64 - 1, 2, 3),
+        (1, 0, 0, -1, 3),
+        (1, 0, 0, 1, -1),
+    ],
+)
+def test_shot_uniforms_reject_out_of_range_counters(args):
+    with pytest.raises(DomainError):
+        _shot_uniforms(*args)
 
 
 def test_single_shot_api_matches_batch_sampling():
