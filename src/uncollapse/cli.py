@@ -241,11 +241,11 @@ def _chi_path(out: str, p: float) -> Path:
 
 
 def cmd_qpt(sweep: SweepSpec, base: ExperimentConfig, out: str) -> None:
-    def chi_at(p: float, stream_block: int):
+    def chi_at(p: float, row_index: int):
         cfg = base.at_strength(p)
         if sweep.mode == "exact":
             return exact_uncollapse_chi(cfg)
-        return montecarlo_uncollapse_chi(cfg, sweep.shots, sweep.seed + stream_block)
+        return montecarlo_uncollapse_chi(cfg, sweep.shots, sweep.seed, stream_base=12 * row_index)
 
     rows = []
     for row_index, p in enumerate(sweep.p_grid):

@@ -159,11 +159,15 @@ def exact_uncollapse_chi(cfg: ExperimentConfig) -> ChiMatrix:
     return qpt_reconstruct(ProbeSet(PROBE_STATES, tuple(outputs)))
 
 
-def montecarlo_uncollapse_chi(cfg: ExperimentConfig, n_shots: int, seed: int) -> ChiMatrix:
+def montecarlo_uncollapse_chi(
+    cfg: ExperimentConfig, n_shots: int, seed: int, stream_base: int = 0
+) -> ChiMatrix:
     """Process matrix of the reversal sequence from sampled counts.
 
-    Each probe uses its own block of per-shot random streams so the result
-    is reproducible and independent of how shots are batched.
+    Probe ``i`` draws from streams ``stream_base + 3*i + j`` (setting j), so
+    the result is reproducible and independent of how shots are batched, and
+    callers that need several matrices under one seed offset ``stream_base``
+    by 12 per matrix.
     """
     outputs = []
     for i, probe in enumerate(PROBE_STATES):
@@ -172,7 +176,7 @@ def montecarlo_uncollapse_chi(cfg: ExperimentConfig, n_shots: int, seed: int) ->
             n_shots,
             seed,
             kind="uncollapse",
-            stream_base=3 * i,
+            stream_base=stream_base + 3 * i,
         )
         outputs.append(bloch_reconstruct(estimate.record))
     return qpt_reconstruct(ProbeSet(PROBE_STATES, tuple(outputs)))

@@ -227,6 +227,40 @@ def test_seeds_at_the_range_limits_and_integral_floats_run(tmp_path):
     assert run("floats", seed=7.0, shots=50.0) == run("ints", seed=7, shots=50)
 
 
+def _qpt_mc_streams(tmp_path, monkeypatch, seed):
+    import uncollapse.montecarlo as montecarlo
+
+    drawn = []
+    original = montecarlo._shot_uniforms
+
+    def recording(master_seed, stream_index, *rest):
+        drawn.append((master_seed, stream_index))
+        return original(master_seed, stream_index, *rest)
+
+    cfg = _write_config(tmp_path, f"qpt{seed}.json", p_grid=[0.1, 0.5], chi_p=[0.3], shots=5)
+    argv = ["qpt", "--config", cfg, "--out", str(tmp_path / f"qpt{seed}.csv"), "--mode", "mc"]
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "_shot_uniforms", recording)
+        assert main(argv + ["--seed", str(seed)]) == 0
+    return drawn
+
+
+def test_qpt_mc_neighbouring_seeds_draw_disjoint_streams(tmp_path, monkeypatch):
+    # row r, probe i, setting j draws stream 12 r + 3 i + j under the fixed seed
+    seven = _qpt_mc_streams(tmp_path, monkeypatch, 7)
+    eight = _qpt_mc_streams(tmp_path, monkeypatch, 8)
+    assert seven == [(7, stream) for stream in range(36)]
+    assert len(set(eight)) == len(eight) == 36
+    assert not set(seven) & set(eight)
+
+
+def test_qpt_mc_runs_at_the_largest_seed(tmp_path):
+    cfg = _write_config(tmp_path, p_grid=[0.1, 0.5])
+    argv = ["qpt", "--config", cfg, "--out", str(tmp_path / "x.csv"), "--mode", "mc",
+            "--shots", "20", "--seed", str(2**128 - 1)]
+    assert main(argv) == 0
+
+
 def test_numeric_failure_exits_3(tmp_path):
     # a strength this close to 1 saturates the reversal background and the
     # reconstruction cannot be carried out

@@ -28,8 +28,8 @@ CASES = {
         # a seed above 2**64 also pins the high word of the Philox key
         {"p_grid": MC_GRID, "decoherence": True, "seed": 2**64 + 7},
         {
-            "out.csv": "6b97ed72101961354e9bc2b64929c5f4f7844f8861eb82bb792d93c976c77542",
-            "out_chi_p0.47.json": "7e16098097b6b6726ed53d13313f4f6fdc8b60fc555b4c5bdc0913d1d9c58d06",
+            "out.csv": "f9b3786ee7eb15e8700408378c0cc21f23622aa4d377409568674310c7348bea",
+            "out_chi_p0.47.json": "e3793f88b0e73636c19172d9a26ec0ee1aa92b6afb03472b8c9453d4ebe01a5a",
         },
     ),
     "collapse_exact": (
