@@ -16,9 +16,14 @@ the damping parameter is gamma = 1 - exp(-t/T1) and the dephasing
 parameter is lam = 1 - exp(-t/T_phi), applied as a phase flip with
 probability lam/2 so that off-diagonal elements shrink by exactly
 exp(-t/T_phi).
+
+Both engines run these operations as Pauli transfer matrices on
+r = (tr rho, <X>, <Y>, <Z>) (Chow et al., PRL 109, 060501 (2012); Greenbaum,
+arXiv:1509.02921), built from the Kraus sets below.
 """
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +31,7 @@ from .errors import DomainError, UndefinedStateError
 from .qubit import (
     EXACT_TOL,
     IDENTITY,
+    PAULI_BASIS,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -33,6 +39,15 @@ from .qubit import (
     DeviceParams,
     QubitState,
 )
+
+# What an event does to a shot: a detection leaves the well, the readout
+# clicks, and a jump (to |0>) or a phase flip stays in the well.
+ESCAPE = "escape"
+CLICK = "click"
+STAY = "stay"
+
+# column j is the row-major vec of Pauli matrix j: vec(rho) = _PAULI_VEC @ r / 2
+_PAULI_VEC = np.stack([s.reshape(4) for s in PAULI_BASIS], axis=1)
 
 
 @dataclass(frozen=True)
@@ -73,6 +88,46 @@ def apply_kraus(q: QubitState, kraus: KrausSet) -> QubitState:
     return QubitState(rho, q.escaped)
 
 
+def transfer_matrix(operators) -> np.ndarray:
+    """Pauli transfer matrix R[i, j] = tr(s_i E(s_j)) / 2 of E(rho) = sum_k K rho K'."""
+    ops = np.asarray(operators, dtype=complex)
+    superop = np.einsum("kac,kbd->abcd", ops, ops.conj()).reshape(4, 4)
+    return 0.5 * (_PAULI_VEC.conj().T @ superop @ _PAULI_VEC).real
+
+
+@dataclass(frozen=True, eq=False)
+class TransferOp:
+    """One compiled operation on r = (tr rho, <X>, <Y>, <Z>).
+
+    ``no_event`` (A0) and ``event`` (A1) are the transfer matrices of the two
+    outcomes, and the event has probability (A1 r)[0] / r[0]; a deterministic
+    operation has ``event`` None and draws no uniform.  ``in_well`` maps the
+    in-well ensemble: A0 for a measurement, the identity for the readout
+    that ends a sequence, A0 + A1 otherwise.
+    """
+
+    no_event: np.ndarray
+    event: np.ndarray | None = None
+    effect: str = STAY
+    in_well: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        in_well = self.no_event
+        if self.event is not None and self.effect == CLICK:
+            in_well = np.eye(4)
+        elif self.event is not None and self.effect == STAY:
+            in_well = self.no_event + self.event
+        for matrix in (self.no_event, self.event, in_well):
+            if matrix is not None:
+                matrix.setflags(write=False)
+        object.__setattr__(self, "in_well", in_well)
+
+
+def chain(ops) -> np.ndarray:
+    """In-well map of ``ops`` applied in order."""
+    return functools.reduce(lambda acc, op: op.in_well @ acc, ops, np.eye(4))
+
+
 @dataclass(frozen=True)
 class PartialMeasurement:
     """Tunable-strength measurement: detection probability p for |1>,
@@ -87,18 +142,16 @@ class PartialMeasurement:
         object.__setattr__(self, "p", float(min(max(self.p, 0.0), 1.0)))
         object.__setattr__(self, "phi_m", float(self.phi_m))
 
-    def null_operator(self) -> np.ndarray:
-        return np.array(
-            [
-                [1.0, 0.0],
-                [0.0, np.sqrt(1.0 - self.p) * np.exp(-1.0j * self.phi_m)],
-            ],
-            dtype=complex,
-        )
-
     def kraus(self) -> KrausSet:
-        tunnel = np.array([[0.0, 0.0], [0.0, np.sqrt(self.p)]], dtype=complex)
-        return KrausSet((self.null_operator(), tunnel), ("null", "tunnel"))
+        null = np.diag([1.0, np.sqrt(1.0 - self.p) * np.exp(-1.0j * self.phi_m)])
+        tunnel = np.diag([0.0, np.sqrt(self.p)])
+        return KrausSet((null, tunnel), ("null", "tunnel"))
+
+    def transfer(self, effect: str = ESCAPE) -> TransferOp:
+        """Null branch as A0 and detection as A1; a detection escapes the well
+        unless ``effect`` says otherwise (CLICK for the final readout)."""
+        null, tunnel = self.kraus().operators
+        return TransferOp(transfer_matrix([null]), transfer_matrix([tunnel]), effect)
 
 
 @dataclass(frozen=True)
@@ -130,20 +183,23 @@ class RotationPulse:
     def about_x(cls, angle: float, duration_ns: float = 0.0) -> "RotationPulse":
         return cls(np.array([1.0, 0.0, 0.0]), angle, duration_ns)
 
-    @classmethod
-    def about_y(cls, angle: float, duration_ns: float = 0.0) -> "RotationPulse":
-        return cls(np.array([0.0, 1.0, 0.0]), angle, duration_ns)
-
-    @classmethod
-    def about_z(cls, angle: float, duration_ns: float = 0.0) -> "RotationPulse":
-        return cls(np.array([0.0, 0.0, 1.0]), angle, duration_ns)
-
     def unitary(self) -> np.ndarray:
         half = self.angle / 2.0
         nx, ny, nz = self.axis
         return np.cos(half) * IDENTITY - 1.0j * np.sin(half) * (
             nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z
         )
+
+    def transfer(self) -> TransferOp:
+        return TransferOp(transfer_matrix([self.unitary()]))
+
+
+# tomography setting -> (axis, angle) of its analysis pulse
+_ANALYSIS_PULSES = {
+    "x": ((0.0, 1.0, 0.0), np.pi / 2.0),
+    "y": ((1.0, 0.0, 0.0), np.pi / 2.0),
+    "z": ((0.0, 0.0, 1.0), 0.0),
+}
 
 
 def tomography_rotation(setting: str, duration_ns: float = 0.0) -> RotationPulse:
@@ -156,13 +212,9 @@ def tomography_rotation(setting: str, duration_ns: float = 0.0) -> RotationPulse
     about X carries -y onto -z for the y setting, and the z setting applies
     no rotation.
     """
-    if setting == "x":
-        return RotationPulse.about_y(np.pi / 2.0, duration_ns)
-    if setting == "y":
-        return RotationPulse.about_x(np.pi / 2.0, duration_ns)
-    if setting == "z":
-        return RotationPulse.about_z(0.0, duration_ns)
-    raise DomainError(f"unknown tomography setting {setting!r}")
+    if setting not in _ANALYSIS_PULSES:
+        raise DomainError(f"unknown tomography setting {setting!r}")
+    return RotationPulse(*_ANALYSIS_PULSES[setting], duration_ns)
 
 
 def pure_dephasing_time(t1_ns: float, t2_ns: float) -> float:
@@ -231,6 +283,19 @@ def dephasing_kraus(lam: float) -> KrausSet:
     return KrausSet((k0, k1), ("no_flip", "flip"))
 
 
+@functools.lru_cache(maxsize=64)
+def decoherence_ops(d: DecoherenceStep) -> tuple[TransferOp, TransferOp]:
+    """Amplitude damping (event: a jump to |0>) then dephasing (event: a
+    phase flip).  Both stay stochastic at zero rate, so every decohered step
+    costs two draws."""
+    damping = amplitude_damping_kraus(d.gamma).operators
+    dephasing = dephasing_kraus(d.lam).operators
+    return (
+        TransferOp(transfer_matrix(damping[:1]), transfer_matrix(damping[1:])),
+        TransferOp(transfer_matrix(dephasing[:1]), transfer_matrix(dephasing[1:])),
+    )
+
+
 def apply_partial_null(q: QubitState, m: PartialMeasurement) -> tuple[QubitState, float]:
     """Null branch of the partial measurement.
 
@@ -239,13 +304,10 @@ def apply_partial_null(q: QubitState, m: PartialMeasurement) -> tuple[QubitState
     creates is exactly the discarded detection weight; ``escaped`` is left
     untouched because nothing was recorded.
     """
-    tr = q.trace
-    if tr <= TRACE_FLOOR:
+    if q.trace <= TRACE_FLOOR:
         raise UndefinedStateError("partial measurement of a vanished state")
-    m0 = m.null_operator()
-    rho = m0 @ q.rho @ m0.conj().T
-    prob_null = float(np.trace(rho).real) / tr
-    return QubitState(rho, q.escaped), prob_null
+    r = m.transfer().no_event @ q.pauli
+    return QubitState.from_pauli(r, q.escaped), float(r[0]) / q.trace
 
 
 def apply_partial_tunnel(q: QubitState, m: PartialMeasurement) -> tuple[QubitState, float]:
@@ -256,19 +318,14 @@ def apply_partial_tunnel(q: QubitState, m: PartialMeasurement) -> tuple[QubitSta
     makes this the full ensemble update (trace + escaped is preserved).
     Returns the state and the conditional detection probability.
     """
-    tr = q.trace
-    if tr <= TRACE_FLOOR:
-        raise UndefinedStateError("partial measurement of a vanished state")
-    tunneled = m.p * float(q.rho[1, 1].real)
-    m0 = m.null_operator()
-    rho = m0 @ q.rho @ m0.conj().T
-    return QubitState(rho, q.escaped + tunneled), tunneled / tr
+    state, prob_null = apply_partial_null(q, m)
+    prob = 1.0 - prob_null
+    return QubitState(state.rho, q.escaped + q.trace * prob), prob
 
 
 def apply_rotation(q: QubitState, r: RotationPulse) -> QubitState:
     """Conjugate the conditional operator by the pulse unitary."""
-    u = r.unitary()
-    return QubitState(u @ q.rho @ u.conj().T, q.escaped)
+    return QubitState.from_pauli(r.transfer().no_event @ q.pauli, q.escaped)
 
 
 def apply_decoherence(q: QubitState, d: DecoherenceStep) -> QubitState:
@@ -277,8 +334,4 @@ def apply_decoherence(q: QubitState, d: DecoherenceStep) -> QubitState:
     Both channels are trace preserving on the in-well operator; relaxation
     keeps population inside the well, so ``escaped`` is unchanged.
     """
-    state = apply_kraus(q, amplitude_damping_kraus(d.gamma))
-    lam = d.lam
-    if lam > 0.0:
-        state = apply_kraus(state, dephasing_kraus(lam))
-    return state
+    return QubitState.from_pauli(chain(decoherence_ops(d)) @ q.pauli, q.escaped)

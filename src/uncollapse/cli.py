@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .errors import SimulationError
 from .montecarlo import estimate_probabilities
 from .protocol import ExperimentConfig, PulseTiming
 from .qpt import exact_uncollapse_chi, montecarlo_uncollapse_chi, process_fidelity
-from .qubit import DeviceParams, PureState
+from .qubit import DeviceParams, PureState, default_device
 from .tomography import bloch_reconstruct, exact_tomography_record, polar_azimuth
 
 COLLAPSE_HEADER = ["p", "P_X", "P_Y", "P_Z", "P_B", "X", "Y", "Z", "theta"]
@@ -46,20 +46,9 @@ DEFAULT_CONFIG = {
     "shots": 20000,
     "seed": 12345,
     "chi_p": [0.47],
-    "device": {
-        "t1_ns": 450.0,
-        "t2_echo_ns": 350.0,
-        "t2_ramsey_ns": 120.0,
-        "e10_ghz": 6.75,
-        "visibility": 1.0,
-    },
-    "timing_ns": {
-        "prepare": 10.0,
-        "measure": 3.0,
-        "idle": 8.0,
-        "pi_pulse": 10.0,
-        "tomography": 10.0,
-    },
+    # the device and timing keys are the DeviceParams and PulseTiming fields
+    "device": asdict(default_device()),
+    "timing_ns": {name.removesuffix("_ns"): v for name, v in asdict(PulseTiming()).items()},
 }
 
 
@@ -110,12 +99,19 @@ def _merge(defaults: dict, overrides: dict, context: str) -> dict:
     return merged
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config numbers must be finite, got {text}")
+    return value
+
+
 def load_config(path: str | None) -> dict:
     """Read and validate a config file, filling in defaults."""
     if path is None:
         return json.loads(json.dumps(DEFAULT_CONFIG))
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(), parse_float=_finite, parse_constant=_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -142,14 +138,9 @@ def _strengths(config: dict, key: str) -> tuple:
 
 def assemble(config: dict, args: argparse.Namespace) -> tuple[SweepSpec, ExperimentConfig]:
     """Combine config values and flag overrides into run inputs."""
-    if args.mode is not None:
-        config["mode"] = args.mode
-    if args.shots is not None:
-        config["shots"] = args.shots
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.pi_fraction is not None:
-        config["pi_fraction"] = args.pi_fraction
+    for key in ("mode", "shots", "seed", "pi_fraction"):
+        if getattr(args, key) is not None:
+            config[key] = getattr(args, key)
     if args.no_decoherence:
         config["decoherence"] = False
     try:
@@ -160,20 +151,8 @@ def assemble(config: dict, args: argparse.Namespace) -> tuple[SweepSpec, Experim
             seed=_integer(config, "seed"),
             chi_p=_strengths(config, "chi_p"),
         )
-        device = DeviceParams(
-            t1_ns=float(config["device"]["t1_ns"]),
-            t2_echo_ns=float(config["device"]["t2_echo_ns"]),
-            t2_ramsey_ns=float(config["device"]["t2_ramsey_ns"]),
-            e10_ghz=float(config["device"]["e10_ghz"]),
-            visibility=float(config["device"]["visibility"]),
-        )
-        timing = PulseTiming(
-            prepare_ns=float(config["timing_ns"]["prepare"]),
-            measure_ns=float(config["timing_ns"]["measure"]),
-            idle_ns=float(config["timing_ns"]["idle"]),
-            pi_pulse_ns=float(config["timing_ns"]["pi_pulse"]),
-            tomography_ns=float(config["timing_ns"]["tomography"]),
-        )
+        device = DeviceParams(**{key: float(v) for key, v in config["device"].items()})
+        timing = PulseTiming(**{f"{key}_ns": float(v) for key, v in config["timing_ns"].items()})
         base = ExperimentConfig(
             initial=PureState(float(config["theta0_rad"]), float(config["phi0_rad"])),
             p=0.0,
@@ -218,7 +197,7 @@ def _sweep_rows(sweep: SweepSpec, base: ExperimentConfig, kind: str) -> list:
             )
             record = estimate.record
             p_success = 1.0 - record.p_b
-        vec = bloch_reconstruct(record)
+        vec = bloch_reconstruct(record, cfg.device.visibility)
         theta, _ = polar_azimuth(vec)
         row = [p, record.p_x, record.p_y, record.p_z, record.p_b, vec.x, vec.y, vec.z, theta]
         if kind == "uncollapse":

@@ -1,10 +1,10 @@
 """Monte Carlo sampling of pulse sequences, shot by shot.
 
-Each shot follows one stochastic trajectory through the sequence: partial
-measurements either detect (probability p * rho_11) and terminate the
-in-well evolution, or apply the null-branch map; decoherence is unraveled
-jump/no-jump from the same Kraus decompositions used by exact evolution,
-so the two engines agree in expectation by construction.
+Each shot follows one stochastic trajectory through the operations of
+:func:`protocol.compile_sequence`, the ones exact evolution runs, so the two
+engines agree in expectation by construction.  A shot carries its
+normalized Pauli vector r; at a stochastic operation it takes the event
+when its uniform falls below (A1 r)[0] and goes on from the branch it took.
 
 Randomness is counter based.  Shot ``k`` of stream ``j`` draws its
 uniforms from Philox4x64-10 keyed by the master seed with counter block
@@ -18,25 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import CLICK, ESCAPE
 from .errors import DomainError, StructuralError
 from .protocol import (
-    FULL_MEASURE,
-    IDLE,
-    PARTIAL_MEASURE,
-    PREPARE,
-    ROTATE,
-    TOMOGRAPHY_ROTATE,
     ExperimentConfig,
     PulseSequence,
-    build_partial_collapse,
-    build_uncollapse,
+    build_sequence,
+    compile_sequence,
 )
-from .channels import tomography_rotation
-from .qubit import state_from_angles
 from .tomography import TOMO_SETTINGS, TomographyRecord, with_tomography
-
-_KET0_DENSITY = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-_FLIP_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 # Philox4x64-10 (Salmon, Moraes, Dror & Shaw, SC'11), as numpy's Philox
 _PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)
@@ -74,19 +64,12 @@ class EstimateSet:
     """Sampled tomography probabilities with their standard errors."""
 
     record: TomographyRecord
-    n_total: int
 
 
 def _draw_count(seq: PulseSequence, cfg: ExperimentConfig) -> int:
-    """Uniform draws one shot consumes: one per measurement event, two per
-    decohered step."""
-    count = 0
-    for step in seq.steps:
-        if step.kind == PARTIAL_MEASURE or step.kind == FULL_MEASURE:
-            count += 1
-        if cfg.decoherence_enabled and step.duration_ns > 0.0:
-            count += 2
-    return count
+    """Uniform draws one shot consumes: one per stochastic operation, that
+    is one per measurement and two per decohered step."""
+    return sum(op.event is not None for op in compile_sequence(seq, cfg))
 
 
 def _mulhilo(m: np.uint64, x):
@@ -158,67 +141,30 @@ def _run_batch(seq: PulseSequence, cfg: ExperimentConfig, uniforms: np.ndarray):
     Returns (outcomes, detected) where ``outcomes`` has shape
     (n_shots, n_partial_measurements).
     """
+    ops = compile_sequence(seq, cfg)
+    if uniforms.shape[1] != sum(op.event is not None for op in ops):
+        raise StructuralError("uniform draw layout out of sync with the sequence")
     n = uniforms.shape[0]
-    rho = np.zeros((n, 2, 2), dtype=complex)
-    alive = np.zeros(n, dtype=bool)
+    r = np.zeros((n, 4))
+    r[:, 0] = 1.0
+    alive = np.ones(n, dtype=bool)
     detected = np.zeros(n, dtype=bool)
     outcomes = []
-    col = 0
-    visibility = cfg.device.visibility
-    for index, step in enumerate(seq.steps):
-        if step.kind == PREPARE:
-            rho[:] = state_from_angles(step.payload).rho
-            alive[:] = True
-        elif step.kind == PARTIAL_MEASURE:
-            m = step.payload
-            u = uniforms[:, col]
-            col += 1
-            p11 = rho[:, 1, 1].real
-            tunneled = alive & (u < m.p * p11)
-            outcomes.append(tunneled)
-            alive &= ~tunneled
-            if alive.any():
-                m0 = m.null_operator()
-                sub = m0 @ rho[alive] @ m0.conj().T
-                norm = np.trace(sub, axis1=1, axis2=2).real
-                rho[alive] = sub / norm[:, None, None]
-        elif step.kind == ROTATE or step.kind == TOMOGRAPHY_ROTATE:
-            pulse = step.payload
-            if step.kind == TOMOGRAPHY_ROTATE:
-                pulse = tomography_rotation(step.payload, step.duration_ns)
-            u_mat = pulse.unitary()
-            rho[:] = u_mat @ rho @ u_mat.conj().T
-        elif step.kind == FULL_MEASURE:
-            if index != len(seq.steps) - 1:
-                raise StructuralError("full_measure must be the final step")
-            u = uniforms[:, col]
-            col += 1
-            detected = alive & (u < visibility * rho[:, 1, 1].real)
-        elif step.kind == IDLE:
-            pass
-        else:
-            raise StructuralError(f"unknown step kind {step.kind!r}")
-        if cfg.decoherence_enabled and step.duration_ns > 0.0:
-            dec = cfg.decoherence_for(step.duration_ns)
-            u_jump = uniforms[:, col]
-            u_flip = uniforms[:, col + 1]
-            col += 2
-            gamma = dec.gamma
-            if gamma > 0.0:
-                p_jump = gamma * rho[:, 1, 1].real
-                jump = alive & (u_jump < p_jump)
-                rho[jump] = _KET0_DENSITY
-                no_jump = alive & ~jump
-                if no_jump.any():
-                    s = np.sqrt(1.0 - gamma)
-                    scale = np.array([[1.0, s], [s, s * s]])
-                    rho[no_jump] = rho[no_jump] * scale / (1.0 - p_jump[no_jump])[:, None, None]
-            flip_prob = dec.lam / 2.0
-            if flip_prob > 0.0:
-                flip = alive & (u_flip < flip_prob)
-                rho[flip] = rho[flip] * _FLIP_SIGNS
-    if col != uniforms.shape[1]:
-        raise StructuralError("uniform draw layout out of sync with the sequence")
+    draws = iter(uniforms.T)
+    for op in ops:
+        if op.event is None:
+            r = r @ op.no_event.T
+            continue
+        event = next(draws) < r @ op.event[0]
+        # shots that left the well keep valid states too, which only
+        # masking by ``alive`` keeps out of the record
+        r = np.where(event[:, None], r @ op.event.T, r @ op.no_event.T)
+        r = r / r[:, :1]
+        if op.effect == ESCAPE:
+            outcomes.append(alive & event)
+            alive &= ~event
+        elif op.effect == CLICK:
+            detected = alive & event
     outcome_matrix = (
         np.stack(outcomes, axis=1) if outcomes else np.zeros((n, 0), dtype=bool)
     )
@@ -259,12 +205,7 @@ def estimate_probabilities(
     """
     if n_shots < 1:
         raise DomainError("need at least one shot per setting")
-    if kind == "collapse":
-        base = build_partial_collapse(cfg)
-    elif kind == "uncollapse":
-        base = build_uncollapse(cfg)
-    else:
-        raise DomainError(f"unknown sequence kind {kind!r}")
+    base = build_sequence(kind, cfg)
     probs = {}
     errors = {}
     escape_total = 0
@@ -289,4 +230,4 @@ def estimate_probabilities(
         stderr=(errors["x"], errors["y"], errors["z"]),
         stderr_b=float(np.sqrt(p_b * (1.0 - p_b) / pooled)),
     )
-    return EstimateSet(record=record, n_total=n_shots)
+    return EstimateSet(record=record)

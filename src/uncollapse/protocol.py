@@ -10,12 +10,14 @@ Two sequences are built here:
   the echo structure, and the overall success probability is 1 - p for
   every initial state.
 
-Exact execution keeps the unnormalized in-well operator.  Each
-measurement moves the detected weight into ``escaped``, so after the last
-step the trace is the success probability and ``escaped`` is the
-background probability of a pre-analysis detection.  Within a step the
-instantaneous operation acts first and decoherence then runs for the
-step's duration.
+:func:`compile_sequence` turns a sequence into the Pauli-transfer-matrix
+operations that both engines run; it is the one place that reads step
+kinds.  Within a step the instantaneous operation acts first and
+decoherence then runs for the step's duration.  Exact execution folds the
+in-well maps: the null branch of each measurement drops the detected
+weight from the trace, so after the last step the trace is the success
+probability and ``escaped`` = 1 - trace is the background probability of a
+pre-analysis detection.
 """
 
 import math
@@ -24,13 +26,19 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .channels import (
+# apply_* are not called here; they stay importable from this module, where
+# perfbench/tracer.py looks the per-operation wrappers up
+from .channels import (  # noqa: F401
+    CLICK,
     DecoherenceStep,
     PartialMeasurement,
     RotationPulse,
+    TransferOp,
     apply_decoherence,
     apply_partial_tunnel,
     apply_rotation,
+    chain,
+    decoherence_ops,
     tomography_rotation,
 )
 from .errors import DomainError, StructuralError, UndefinedStateError
@@ -46,6 +54,9 @@ FULL_MEASURE = "full_measure"
 STEP_KINDS = (PREPARE, ROTATE, PARTIAL_MEASURE, IDLE, TOMOGRAPHY_ROTATE, FULL_MEASURE)
 
 _OVERLAP_TOL = 1e-9
+
+# r of any unit-trace state; the prepare map sends it to the prepared state
+_UNIT_TRACE = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -229,6 +240,49 @@ def build_uncollapse(cfg: ExperimentConfig) -> PulseSequence:
     )
 
 
+def build_sequence(kind: str, cfg: ExperimentConfig) -> PulseSequence:
+    """The "collapse" or the "uncollapse" sequence for ``cfg``."""
+    builders = {"collapse": build_partial_collapse, "uncollapse": build_uncollapse}
+    if kind not in builders:
+        raise DomainError(f"unknown sequence kind {kind!r}")
+    return builders[kind](cfg)
+
+
+def compile_sequence(seq: PulseSequence, cfg: ExperimentConfig) -> tuple:
+    """The sequence as TransferOps in order, run from r = (1, 0, 0, 0).
+
+    Prepare maps any unit-trace r to the prepared state, a partial
+    measurement is stochastic (a detection escapes the well), pulses are
+    deterministic, and the full measurement is the final readout (a
+    detection is a click, with probability v * rho_11).  Decoherence adds a
+    jump and a flip operation after every step of nonzero duration but the
+    readout.
+    """
+    if not seq.steps:
+        raise StructuralError("empty pulse sequence")
+    if seq.steps[0].kind != PREPARE:
+        raise StructuralError("sequence must begin with a prepare step")
+    ops = []
+    for index, step in enumerate(seq.steps):
+        if step.kind == PREPARE:
+            if index:
+                raise StructuralError("sequence contains a second prepare step")
+            prepared = state_from_angles(step.payload).pauli
+            ops.append(TransferOp(np.outer(prepared, _UNIT_TRACE)))
+        elif step.kind in (PARTIAL_MEASURE, ROTATE):
+            ops.append(step.payload.transfer())
+        elif step.kind == TOMOGRAPHY_ROTATE:
+            ops.append(tomography_rotation(step.payload, step.duration_ns).transfer())
+        elif step.kind == FULL_MEASURE:
+            if index != len(seq.steps) - 1:
+                raise StructuralError("full_measure must be the final step")
+            ops.append(PartialMeasurement(cfg.device.visibility).transfer(CLICK))
+            continue
+        if cfg.decoherence_enabled and step.duration_ns > 0.0:
+            ops.extend(decoherence_ops(cfg.decoherence_for(step.duration_ns)))
+    return tuple(ops)
+
+
 def run_exact(seq: PulseSequence, cfg: ExperimentConfig) -> RunOutcome:
     """Evolve the conditional state through a sequence exactly.
 
@@ -236,31 +290,9 @@ def run_exact(seq: PulseSequence, cfg: ExperimentConfig) -> RunOutcome:
     statistics for it come from the analysis forward model, not from this
     routine.
     """
-    if not seq.steps:
-        raise StructuralError("empty pulse sequence")
-    state: QubitState | None = None
-    for index, step in enumerate(seq.steps):
-        if step.kind == PREPARE:
-            if state is not None:
-                raise StructuralError("sequence contains a second prepare step")
-            state = state_from_angles(step.payload)
-        elif state is None:
-            raise StructuralError("sequence must begin with a prepare step")
-        elif step.kind == PARTIAL_MEASURE:
-            state, _ = apply_partial_tunnel(state, step.payload)
-        elif step.kind == ROTATE:
-            state = apply_rotation(state, step.payload)
-        elif step.kind == TOMOGRAPHY_ROTATE:
-            state = apply_rotation(state, tomography_rotation(step.payload, step.duration_ns))
-        elif step.kind == IDLE:
-            pass
-        elif step.kind == FULL_MEASURE:
-            if index != len(seq.steps) - 1:
-                raise StructuralError("full_measure must be the final step")
-            continue
-        if cfg.decoherence_enabled and step.duration_ns > 0.0:
-            state = apply_decoherence(state, cfg.decoherence_for(step.duration_ns))
-        state.validate(require_total=True)
+    r = chain(compile_sequence(seq, cfg)) @ _UNIT_TRACE
+    # roundoff can leave the trace an ulp above 1 when nothing escaped
+    state = QubitState.from_pauli(r, max(1.0 - r[0], 0.0)).validate(require_total=True)
     return RunOutcome(
         conditional=state,
         p_background=state.escaped,

@@ -21,19 +21,10 @@ import numpy as np
 
 from .errors import SingularInversionError, StructuralError
 from .montecarlo import estimate_probabilities
-from .qubit import (
-    IDENTITY,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    BlochVector,
-    PureState,
-    state_from_angles,
-)
+from .qubit import PAULI_BASIS, PureState, QubitState, state_from_angles
 from .protocol import ExperimentConfig
 from .tomography import bloch_reconstruct, exact_tomography_record
 
-PAULI_BASIS = (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z)
 PAULI_LABELS = ("I", "X", "Y", "Z")
 
 PROBE_STATES = (
@@ -46,11 +37,6 @@ PROBE_STATES = (
 _GRAM_FLOOR = 1e-6
 
 
-def _raw_density(b: BlochVector) -> np.ndarray:
-    # accepts slightly unphysical vectors from noisy reconstruction
-    return 0.5 * (IDENTITY + b.x * SIGMA_X + b.y * SIGMA_Y + b.z * SIGMA_Z)
-
-
 @dataclass(frozen=True)
 class ProbeSet:
     """Four probe inputs paired with their reconstructed output vectors."""
@@ -61,10 +47,9 @@ class ProbeSet:
     def __post_init__(self):
         if len(self.inputs) != 4 or len(self.outputs) != 4:
             raise StructuralError("process tomography needs exactly four probes")
-        rhos = [state_from_angles(s).rho for s in self.inputs]
-        gram = np.array(
-            [[np.trace(a @ b).real for b in rhos] for a in rhos], dtype=float
-        )
+        # tr(rho_a rho_b) = r_a . r_b / 2
+        paulis = np.array([state_from_angles(s).pauli for s in self.inputs])
+        gram = paulis @ paulis.T / 2.0
         if abs(np.linalg.det(gram)) < _GRAM_FLOOR:
             raise SingularInversionError("probe states are not linearly independent")
 
@@ -103,26 +88,19 @@ class CpReport:
 
 def chi_apply(chi: ChiMatrix, rho: np.ndarray) -> np.ndarray:
     """Act with the process on a density operator."""
-    out = np.zeros((2, 2), dtype=complex)
-    for m in range(4):
-        for n in range(4):
-            out += chi.matrix[m, n] * (PAULI_BASIS[m] @ rho @ PAULI_BASIS[n])
-    return out
+    return np.einsum("mn,mab,bc,ncd->ad", chi.matrix, PAULI_BASIS, rho, PAULI_BASIS)
 
 
 def qpt_reconstruct(probes: ProbeSet) -> ChiMatrix:
     """Solve the 16x16 linear system mapping chi onto the probe outputs."""
-    a = np.zeros((16, 16), dtype=complex)
-    b = np.zeros(16, dtype=complex)
-    for i, (probe, out_vec) in enumerate(zip(probes.inputs, probes.outputs)):
-        rho_in = state_from_angles(probe).rho
-        b[4 * i : 4 * i + 4] = _raw_density(out_vec).reshape(4)
-        for m in range(4):
-            for n in range(4):
-                column = 4 * m + n
-                a[4 * i : 4 * i + 4, column] = (
-                    PAULI_BASIS[m] @ rho_in @ PAULI_BASIS[n]
-                ).reshape(4)
+    # row (i, a, d), column (m, n): entry (a, d) of sigma_m rho_i sigma_n
+    rhos = [state_from_angles(probe).rho for probe in probes.inputs]
+    terms = np.einsum("mab,ibc,ncd->iadmn", PAULI_BASIS, rhos, PAULI_BASIS)
+    a = terms.reshape(16, 16)
+    # noisy reconstructions may leave the unit ball; no validation here
+    b = np.concatenate(
+        [QubitState.from_pauli((1.0, v.x, v.y, v.z)).rho.reshape(4) for v in probes.outputs]
+    )
     if np.linalg.cond(a) > 1e12:
         raise SingularInversionError("probe design matrix is numerically singular")
     try:
@@ -155,7 +133,7 @@ def exact_uncollapse_chi(cfg: ExperimentConfig) -> ChiMatrix:
     outputs = []
     for probe in PROBE_STATES:
         record, _ = exact_tomography_record(replace(cfg, initial=probe), "uncollapse")
-        outputs.append(bloch_reconstruct(record))
+        outputs.append(bloch_reconstruct(record, cfg.device.visibility))
     return qpt_reconstruct(ProbeSet(PROBE_STATES, tuple(outputs)))
 
 
@@ -178,5 +156,5 @@ def montecarlo_uncollapse_chi(
             kind="uncollapse",
             stream_base=stream_base + 3 * i,
         )
-        outputs.append(bloch_reconstruct(estimate.record))
+        outputs.append(bloch_reconstruct(estimate.record, cfg.device.visibility))
     return qpt_reconstruct(ProbeSet(PROBE_STATES, tuple(outputs)))

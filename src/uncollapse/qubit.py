@@ -16,6 +16,10 @@ Conventions, fixed once for the whole package:
   loses nothing.  The operator may be unnormalized: its trace is the
   joint probability of reaching the current point of a sequence with no
   detection.
+* The engines evolve the unnormalized Pauli vector
+  r = (tr rho, tr(rho X), tr(rho Y), tr(rho Z)), so that
+  rho = (r0*I + r1*X + r2*Y + r3*Z)/2 and every operation of the protocol
+  is a real 4x4 matrix on r.
 """
 
 from dataclasses import dataclass
@@ -28,6 +32,7 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY = np.eye(2, dtype=complex)
+PAULI_BASIS = (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 TWO_PI = 2.0 * np.pi
 
@@ -113,6 +118,19 @@ class QubitState:
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "escaped", float(self.escaped))
 
+    @classmethod
+    def from_pauli(cls, r, escaped: float = 0.0) -> "QubitState":
+        """Operator (r0*I + r1*X + r2*Y + r3*Z)/2 of an unnormalized Pauli vector."""
+        t, x, y, z = r
+        return cls(0.5 * np.array([[t + z, x - 1.0j * y], [x + 1.0j * y, t - z]]), escaped)
+
+    @property
+    def pauli(self) -> np.ndarray:
+        """Unnormalized Pauli vector (tr rho, <X>, <Y>, <Z>) of the operator."""
+        rho = self.rho
+        t, z = (rho[0, 0] + rho[1, 1]).real, (rho[0, 0] - rho[1, 1]).real
+        return np.array([t, 2.0 * rho[0, 1].real, -2.0 * rho[0, 1].imag, z])
+
     @property
     def trace(self) -> float:
         return float(np.trace(self.rho).real)
@@ -159,13 +177,12 @@ class QubitState:
 
 @dataclass(frozen=True)
 class DeviceParams:
-    """Device constants: relaxation/dephasing times (ns), level splitting,
-    and readout visibility."""
+    """Device constants: relaxation/dephasing times (ns) and readout
+    visibility."""
 
     t1_ns: float
     t2_echo_ns: float
     t2_ramsey_ns: float
-    e10_ghz: float = 6.75
     visibility: float = 1.0
 
     def __post_init__(self):
@@ -176,15 +193,14 @@ class DeviceParams:
             raise DomainError("t2_echo_ns cannot exceed 2*t1_ns")
         if self.t2_ramsey_ns > self.t2_echo_ns * (1.0 + EXACT_TOL):
             raise DomainError("t2_ramsey_ns cannot exceed t2_echo_ns")
-        if not 0.0 <= self.visibility <= 1.0:
-            raise DomainError("visibility must lie in [0, 1]")
-        if self.e10_ghz <= 0.0:
-            raise DomainError("e10_ghz must be positive")
+        # the reconstruction divides by the visibility
+        if not 0.0 < self.visibility <= 1.0:
+            raise DomainError("visibility must lie in (0, 1]")
 
 
 def default_device(visibility: float = 1.0) -> DeviceParams:
     """Default device constants used throughout: T1 = 450 ns, echo T2 = 350 ns,
-    Ramsey T2 = 120 ns, 6.75 GHz splitting.
+    Ramsey T2 = 120 ns.
 
     Visibility defaults to 1 so analytic identities hold exactly; pass 0.9
     to mimic a realistic readout.
@@ -193,7 +209,6 @@ def default_device(visibility: float = 1.0) -> DeviceParams:
         t1_ns=450.0,
         t2_echo_ns=350.0,
         t2_ramsey_ns=120.0,
-        e10_ghz=6.75,
         visibility=visibility,
     )
 
@@ -209,19 +224,13 @@ def bloch_from_state(q: QubitState) -> BlochVector:
     tr = q.trace
     if tr <= TRACE_FLOOR:
         raise UndefinedStateError("Bloch vector undefined: conditional trace is zero")
-    rho = q.rho / tr
-    return BlochVector(
-        x=float(np.trace(rho @ SIGMA_X).real),
-        y=float(np.trace(rho @ SIGMA_Y).real),
-        z=float(np.trace(rho @ SIGMA_Z).real),
-    )
+    return BlochVector(*(float(v) for v in q.pauli[1:] / tr))
 
 
 def state_from_bloch(b: BlochVector) -> QubitState:
     """Density operator (1/2)(I + x*sx + y*sy + z*sz) for a physical vector."""
     b.validate()
-    rho = 0.5 * (IDENTITY + b.x * SIGMA_X + b.y * SIGMA_Y + b.z * SIGMA_Z)
-    return QubitState(rho, 0.0)
+    return QubitState.from_pauli((1.0, b.x, b.y, b.z))
 
 
 def state_fidelity(a: QubitState, b: QubitState) -> float:
@@ -237,10 +246,3 @@ def state_fidelity(a: QubitState, b: QubitState) -> float:
     da = max(float(np.linalg.det(ra).real), 0.0)
     db = max(float(np.linalg.det(rb).real), 0.0)
     return cross + 2.0 * np.sqrt(da * db)
-
-
-def relaxation_probability(d: DeviceParams, duration_ns: float) -> float:
-    """Probability 1 - exp(-duration/T1) of an energy relaxation event."""
-    if duration_ns < 0.0:
-        raise DomainError("duration must be nonnegative")
-    return float(-np.expm1(-duration_ns / d.t1_ns))

@@ -8,20 +8,32 @@ visibility).  The detection probability for setting s is
 
 where p_b is the probability that a detection already happened earlier in
 the sequence and rho_s is the normalized conditional state after the
-setting's rotation.  With v = 1 the forward model is inverted exactly by
+setting's rotation.  For v in (0, 1] the forward model is inverted exactly by
 
-    x = 2*(P_x - p_b)/(1 - p_b) - 1
-    y = -(2*(P_y - p_b)/(1 - p_b) - 1)
-    z = -(2*(P_z - p_b)/(1 - p_b) - 1)
+    x = 2*(P_x - p_b)/((1 - p_b)*v) - 1
+    y = -(2*(P_y - p_b)/((1 - p_b)*v) - 1)
+    z = -(2*(P_z - p_b)/((1 - p_b)*v) - 1)
 
 given the rotation conventions of :func:`channels.tomography_rotation`.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import apply_decoherence, apply_rotation, tomography_rotation
+# apply_* are not called here; they stay importable from this module, where
+# perfbench/tracer.py looks the per-operation wrappers up
+from .channels import (  # noqa: F401
+    CLICK,
+    DecoherenceStep,
+    PartialMeasurement,
+    apply_decoherence,
+    apply_rotation,
+    chain,
+    decoherence_ops,
+    tomography_rotation,
+)
 from .errors import (
     DegenerateBackgroundError,
     DomainError,
@@ -36,8 +48,7 @@ from .protocol import (
     PulseTiming,
     RunOutcome,
     SequenceStep,
-    build_partial_collapse,
-    build_uncollapse,
+    build_sequence,
     run_exact,
 )
 from .qubit import TRACE_FLOOR, BlochVector, DeviceParams, QubitState
@@ -87,6 +98,19 @@ class TomographyRecord:
             raise DomainError(f"unknown tomography setting {setting!r}") from None
 
 
+@functools.lru_cache(maxsize=64)
+def _readout_rows(visibility: float, tomo_decoherence: DecoherenceStep | None) -> np.ndarray:
+    """Row s gives v * <1| rho_s |1> from r of the normalized state: the
+    readout's event row through the compiled tomography operations."""
+    readout = PartialMeasurement(visibility).transfer(CLICK).event[0]
+    decay = () if tomo_decoherence is None else decoherence_ops(tomo_decoherence)
+    rows = np.array(
+        [readout @ chain((tomography_rotation(s).transfer(), *decay)) for s in TOMO_SETTINGS]
+    )
+    rows.setflags(write=False)
+    return rows
+
+
 def tomo_probabilities(
     q: QubitState,
     p_b: float,
@@ -103,19 +127,13 @@ def tomo_probabilities(
         raise UndefinedStateError("tomography of a vanished conditional state")
     if not 0.0 <= p_b <= 1.0:
         raise DomainError(f"background probability must lie in [0, 1], got {p_b}")
-    base = q.normalized()
-    probs = {}
-    for setting in TOMO_SETTINGS:
-        rotated = apply_rotation(base, tomography_rotation(setting))
-        if tomo_decoherence is not None:
-            rotated = apply_decoherence(rotated, tomo_decoherence)
-        population = float(rotated.rho[1, 1].real)
-        probs[setting] = p_b + (1.0 - p_b) * d.visibility * population
-    return TomographyRecord(p_x=probs["x"], p_y=probs["y"], p_z=probs["z"], p_b=p_b)
+    populations = _readout_rows(d.visibility, tomo_decoherence) @ (q.pauli / q.trace)
+    p_x, p_y, p_z = (float(p_b + (1.0 - p_b) * v) for v in populations)
+    return TomographyRecord(p_x=p_x, p_y=p_y, p_z=p_z, p_b=p_b)
 
 
-def bloch_reconstruct(t: TomographyRecord) -> BlochVector:
-    """Invert the forward model; exact inverse at unit visibility.
+def bloch_reconstruct(t: TomographyRecord, visibility: float = 1.0) -> BlochVector:
+    """Invert the forward model at readout visibility ``visibility`` in (0, 1].
 
     Sampled records may land slightly outside the unit ball, which is
     deliberately not repaired here.
@@ -125,7 +143,7 @@ def bloch_reconstruct(t: TomographyRecord) -> BlochVector:
     scale = 1.0 / (1.0 - t.p_b)
 
     def component(prob: float) -> float:
-        return 2.0 * (prob - t.p_b) * scale - 1.0
+        return 2.0 * (prob - t.p_b) * scale / visibility - 1.0
 
     return BlochVector(
         x=component(t.p_x),
@@ -170,13 +188,7 @@ def exact_tomography_record(
     cfg: ExperimentConfig, kind: str = "uncollapse"
 ) -> tuple[TomographyRecord, RunOutcome]:
     """Run a sequence exactly and evaluate the tomography forward model."""
-    if kind == "collapse":
-        seq = build_partial_collapse(cfg)
-    elif kind == "uncollapse":
-        seq = build_uncollapse(cfg)
-    else:
-        raise DomainError(f"unknown sequence kind {kind!r}")
-    outcome = run_exact(seq, cfg)
+    outcome = run_exact(build_sequence(kind, cfg), cfg)
     tomo_dec = None
     if cfg.decoherence_enabled and cfg.timing.tomography_ns > 0.0:
         tomo_dec = cfg.decoherence_for(cfg.timing.tomography_ns)

@@ -16,12 +16,15 @@ from uncollapse import (
     apply_partial_tunnel,
     apply_rotation,
     default_device,
+    QubitState,
+    apply_kraus,
     dephasing_kraus,
     kraus_completeness_check,
     pure_dephasing_time,
     state_from_angles,
     tomography_rotation,
 )
+from uncollapse.channels import CLICK, ESCAPE, STAY, decoherence_ops
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -193,6 +196,69 @@ def test_decoherence_action_matches_closed_form():
         assert abs(out.rho[0, 1] - coh * q.rho[0, 1]) < 1e-14
         assert abs(out.trace - q.trace) < 1e-14   # trace preserving
         assert out.escaped == q.escaped
+
+
+def _random_states(rng, count):
+    # unnormalized mixed operators with an escape record, as the engines see them
+    for _ in range(count):
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        rho = a @ a.conj().T
+        yield QubitState(rho * rng.uniform(0.1, 1.0) / np.trace(rho).real, 0.0)
+
+
+def _assert_map_matches_kraus(transfer, operators, states):
+    for q in states:
+        want = apply_kraus(q, KrausSet(tuple(operators)))
+        assert np.max(np.abs(transfer @ q.pauli - want.pauli)) < 1e-12
+        got = QubitState.from_pauli(transfer @ q.pauli)
+        assert np.max(np.abs(got.rho - want.rho)) < 1e-12
+
+
+def test_transfer_ops_match_their_kraus_references():
+    # oracle: sum_k K rho K' applied to the 2x2 operator, branch by branch
+    rng = np.random.default_rng(37)
+    states = list(_random_states(rng, 20))
+    for _ in range(10):
+        m = PartialMeasurement(rng.uniform(0, 1), rng.uniform(0, 2 * np.pi))
+        null, tunnel = m.kraus().operators
+        op = m.transfer()
+        assert op.effect == ESCAPE and op.in_well is op.no_event
+        _assert_map_matches_kraus(op.no_event, [null], states)
+        _assert_map_matches_kraus(op.event, [tunnel], states)
+        assert m.transfer(CLICK).effect == CLICK
+        np.testing.assert_array_equal(m.transfer(CLICK).in_well, np.eye(4))
+
+        axis = rng.normal(size=3)
+        pulse = RotationPulse(axis / np.linalg.norm(axis), rng.uniform(-2 * np.pi, 2 * np.pi))
+        op = pulse.transfer()
+        assert op.event is None
+        _assert_map_matches_kraus(op.no_event, [pulse.unitary()], states)
+
+        step = DecoherenceStep(rng.uniform(0, 500), 450.0, rng.uniform(100, 1000))
+        damping, dephasing = decoherence_ops(step)
+        for op, kraus in ((damping, amplitude_damping_kraus(step.gamma)),
+                          (dephasing, dephasing_kraus(step.lam))):
+            assert op.effect == STAY
+            _assert_map_matches_kraus(op.no_event, kraus.operators[:1], states)
+            _assert_map_matches_kraus(op.event, kraus.operators[1:], states)
+            _assert_map_matches_kraus(op.in_well, kraus.operators, states)
+
+
+def test_event_branches_and_probabilities():
+    # a jump lands on |0>, a flip negates the coherences, and the event
+    # probability is row 0 of A1 r
+    q = state_from_angles(PureState(1.2, 0.4))
+    r = q.pauli
+    step = DecoherenceStep(40.0, 450.0, 600.0)
+    damping, dephasing = decoherence_ops(step)
+    jump = damping.event @ r
+    assert np.allclose(jump / jump[0], [1.0, 0.0, 0.0, 1.0], atol=1e-15)
+    assert abs(jump[0] - step.gamma * q.rho[1, 1].real) < 1e-15
+    assert abs((dephasing.event @ r)[0] - step.lam / 2.0) < 1e-15
+    flip = dephasing.event @ r
+    assert np.allclose(flip / flip[0], r * [1.0, -1.0, -1.0, 1.0], atol=1e-15)
+    m = PartialMeasurement(0.6, 0.3)
+    assert abs((m.transfer().event @ r)[0] - 0.6 * q.rho[1, 1].real) < 1e-15
 
 
 def test_ground_state_is_a_decoherence_fixed_point():

@@ -1,6 +1,8 @@
 """Command-line front end: schemas, determinism, and exit codes."""
 
+import contextlib
 import importlib.metadata
+import io
 import json
 import math
 import os
@@ -8,10 +10,13 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import uncollapse
 from uncollapse import theory_polar_angle
@@ -202,6 +207,10 @@ def test_bad_configs_exit_2(tmp_path):
         ({}, ["--seed", str(2**128)]),
         ({}, ["--seed", "-1", "--mode", "mc"]),
         ({}, ["--seed", str(2**128), "--mode", "mc"]),
+        ({"device": {"e10_ghz": 6.75}}, []),
+        ({"device": {"visibility": 0.0}}, []),
+        ({"phi0_rad": float("nan")}, []),
+        ({"device": {"t1_ns": float("inf")}}, []),
     ],
 )
 @pytest.mark.parametrize("command", ["collapse", "uncollapse", "qpt"])
@@ -213,6 +222,64 @@ def test_malformed_values_exit_2_with_one_error_line(tmp_path, capsys, command, 
     assert "Traceback" not in err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert not (tmp_path / "x.csv").exists()
+
+
+_SMALL_RUN = {"p_grid": [0.2], "chi_p": [0.4], "shots": 8}
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from([2**64, 2**128, -(2**70)]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+)
+# a grid is at most three points and a shot count at most 40, so every run
+# that gets past the config check stays small
+_VALUES = st.one_of(
+    _JSON_SCALARS,
+    st.lists(st.one_of(st.floats(-0.5, 1.5), _JSON_SCALARS), max_size=3),
+    st.dictionaries(st.sampled_from(["t1_ns", "visibility", "prepare", "x"]), _JSON_SCALARS,
+                    max_size=2),
+)
+_TOP_KEYS = ["theta0_rad", "phi0_rad", "p_grid", "pi_fraction", "phi_m_rate_rad", "decoherence",
+             "use_echo_t2", "p_error_fraction", "mode", "seed", "chi_p", "device", "timing_ns",
+             "warp"]
+_NESTED = {
+    "device": ["t1_ns", "t2_echo_ns", "t2_ramsey_ns", "visibility", "e10_ghz"],
+    "timing_ns": ["prepare", "measure", "idle", "pi_pulse", "tomography"],
+}
+
+
+@st.composite
+def _malformed_configs(draw):
+    config = dict(_SMALL_RUN, mode=draw(st.sampled_from(["exact", "mc"])))
+    for key in draw(st.lists(st.sampled_from(_TOP_KEYS), min_size=1, max_size=3, unique=True)):
+        if key in _NESTED and draw(st.booleans()):
+            fields = st.sampled_from(_NESTED[key])
+            config[key] = draw(st.dictionaries(fields, _VALUES, min_size=1, max_size=2))
+        else:
+            config[key] = draw(_VALUES)
+    config["shots"] = draw(st.one_of(st.integers(-2, 40), st.sampled_from([2.5, "8", True, None])))
+    return config
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(["collapse", "uncollapse", "qpt"]), config=_malformed_configs())
+def test_malformed_configs_never_raise_a_traceback(command, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(path), "--out", str(Path(tmp) / "x.csv")])
+        written = (Path(tmp) / "x.csv").read_text() if code == 0 else ""
+    assert code in (0, 2, 3)
+    assert "nan" not in written and "inf" not in written
+    text = err.getvalue()
+    assert "Traceback" not in text
+    assert text.count("error:") == (code != 0)
+    assert text.count("\n") == (code != 0)
 
 
 def test_seeds_at_the_range_limits_and_integral_floats_run(tmp_path):

@@ -36,14 +36,14 @@ CASES = {
         ["collapse"],
         {},
         {
-            "out.csv": "0a48c86e8f4351ad81def6ea8f8611bb8554283042fb4529ebd1d84ede1dfcf1",
+            "out.csv": "1bdbbcdc817c47bfb079044e92fbe5d6cdb67197d958837851bc0a11bd64683c",
         },
     ),
     "uncollapse_exact": (
         ["uncollapse"],
         {},
         {
-            "out.csv": "fbc24b26df3660be0e30976bf9d5cef70fa911915c17b21e8f106097bde89235",
+            "out.csv": "091cb5d3ca5a64432c08ba1c7ec3cd8853ed5e83749208f85407b8c99f345e0e",
         },
     ),
     "qpt_exact": (
@@ -51,7 +51,7 @@ CASES = {
         {},
         {
             "out.csv": "b7ac66a2f183da06d0805aa0e22dcb8c9c5a5cbee8b059efdc91a6e433f5a63f",
-            "out_chi_p0.47.json": "ad63ac2fc30b9487b61948ea72125e696aa0af37b33c73ea5bf120a51430ca80",
+            "out_chi_p0.47.json": "773517ebacad5dc2bfeab8c3ddc8522dd30d2d1a3f72fa7a4e881bd94f7456ec",
         },
     ),
 }

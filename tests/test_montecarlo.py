@@ -160,7 +160,6 @@ def test_stderr_formula():
     est = estimate_probabilities(_cfg(p=0.5), 1000, seed=31, kind="uncollapse")
     p_hat = est.record.p_x
     assert est.record.stderr[0] == pytest.approx(np.sqrt(p_hat * (1 - p_hat) / 1000))
-    assert est.n_total == 1000
     assert est.record.shots == 1000
 
 

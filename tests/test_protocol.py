@@ -17,6 +17,7 @@ from uncollapse import (
     bloch_from_state,
     build_partial_collapse,
     build_uncollapse,
+    exact_tomography_record,
     polar_azimuth,
     run_exact,
     state_fidelity,
@@ -24,7 +25,9 @@ from uncollapse import (
     success_probability,
     theory_polar_angle,
 )
+from uncollapse.montecarlo import _draw_count, _run_batch
 from uncollapse.protocol import FULL_MEASURE, IDLE, PARTIAL_MEASURE, PREPARE, ROTATE
+from uncollapse.tomography import with_tomography
 
 
 def _cfg(theta0=np.pi / 2, phi0=0.0, **kw):
@@ -54,30 +57,66 @@ def test_sequence_step_kind_and_duration_checks():
         SequenceStep(IDLE, 0.0, -1.0)
 
 
-def test_run_exact_structural_errors():
-    cfg = _cfg(p=0.3)
-    with pytest.raises(StructuralError):
-        run_exact(PulseSequence(()), cfg)
-    no_prepare = PulseSequence((SequenceStep(IDLE, 0.0, 5.0),))
-    with pytest.raises(StructuralError):
-        run_exact(no_prepare, cfg)
-    double_prepare = PulseSequence(
+MALFORMED_SEQUENCES = (
+    PulseSequence(()),
+    PulseSequence((SequenceStep(IDLE, 0.0, 5.0),)),
+    PulseSequence(
         (
             SequenceStep(PREPARE, 0.0, 10.0, PureState(0.0)),
             SequenceStep(PREPARE, 10.0, 10.0, PureState(0.0)),
         )
-    )
-    with pytest.raises(StructuralError):
-        run_exact(double_prepare, cfg)
-    misplaced_full = PulseSequence(
+    ),
+    PulseSequence(
         (
             SequenceStep(PREPARE, 0.0, 10.0, PureState(0.0)),
             SequenceStep(FULL_MEASURE, 10.0, 0.0),
             SequenceStep(IDLE, 10.0, 5.0),
         )
-    )
-    with pytest.raises(StructuralError):
-        run_exact(misplaced_full, cfg)
+    ),
+)
+
+
+def test_run_exact_structural_errors():
+    for decoherence in (False, True):
+        cfg = _cfg(p=0.3, decoherence_enabled=decoherence)
+        for seq in MALFORMED_SEQUENCES:
+            with pytest.raises(StructuralError):
+                run_exact(seq, cfg)
+
+
+def test_run_batch_structural_errors():
+    # the sampling engine refuses the same sequences instead of sampling rho = 0
+    for decoherence in (False, True):
+        cfg = _cfg(p=0.3, decoherence_enabled=decoherence)
+        for seq in MALFORMED_SEQUENCES:
+            with pytest.raises(StructuralError):
+                _draw_count(seq, cfg)
+            for n_draws in (0, 1, 4):
+                with pytest.raises(StructuralError):
+                    _run_batch(seq, cfg, np.full((3, n_draws), 0.5))
+        good = build_uncollapse(cfg)
+        with pytest.raises(StructuralError):
+            _run_batch(good, cfg, np.full((3, _draw_count(good, cfg) + 1), 0.5))
+
+
+def test_run_exact_checks_positivity_once_per_run(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+    cfg = _cfg(p=0.3, decoherence_enabled=True)
+    seq = with_tomography(build_uncollapse(cfg), "x", cfg.timing)
+    run_exact(seq, cfg)
+    assert len(calls) == 1
+
+
+def test_long_decoherence_leaves_a_nonnegative_background():
+    # a long idle relaxes every input to |0>, and the trace may end an ulp
+    # above 1; the background must still be a probability
+    for theta0 in np.linspace(0.0, np.pi, 7):
+        for p in (0.0, 0.3):
+            cfg = _cfg(theta0, p=p, decoherence_enabled=True, timing=PulseTiming(idle_ns=1e6))
+            record, out = exact_tomography_record(cfg, "uncollapse")
+            assert 0.0 <= out.p_background == record.p_b <= 1.0
 
 
 def test_reversal_restores_the_rotated_initial_state():

@@ -22,6 +22,8 @@ from uncollapse import (
     qpt_reconstruct,
     state_from_angles,
 )
+from uncollapse.channels import chain
+from uncollapse.protocol import build_uncollapse, compile_sequence
 
 SIGMA = (
     np.eye(2, dtype=complex),
@@ -69,6 +71,33 @@ def test_reconstruction_predicts_unseen_inputs():
         rho = state_from_angles(s).rho
         predicted = chi_apply(chi, rho)
         assert np.max(np.abs(predicted - u @ rho @ u.conj().T)) < 1e-9
+
+
+def test_chi_apply_matches_the_double_sum():
+    # reference: sum_{m,n} chi[m, n] sigma_m rho sigma_n term by term
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        chi = ChiMatrix(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        rho = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        want = sum(
+            chi.matrix[m, n] * (SIGMA[m] @ rho @ SIGMA[n]) for m in range(4) for n in range(4)
+        )
+        assert np.max(np.abs(chi_apply(chi, rho) - want)) < 1e-12
+
+
+def test_compiled_reversal_map_matches_its_process_matrix():
+    # without decoherence the post-selected reversal is linear: the compiled
+    # in-well map after preparation, over the success probability 1 - p, is
+    # the transfer matrix of the four-probe chi
+    for p in (0.0, 0.35, 0.8):
+        cfg = ExperimentConfig(PureState(0.0), p=p, phi_m_rate=2.0)
+        compiled = chain(compile_sequence(build_uncollapse(cfg), cfg)[1:]) / (1.0 - p)
+        chi = exact_uncollapse_chi(cfg)
+        from_chi = np.array(
+            [[0.5 * np.trace(SIGMA[i] @ chi_apply(chi, SIGMA[j])).real for j in range(4)]
+             for i in range(4)]
+        )
+        assert np.max(np.abs(from_chi - compiled)) < 1e-10
 
 
 def test_ideal_reversal_has_unit_fidelity_for_all_strengths():

@@ -12,7 +12,6 @@ from uncollapse import (
     UndefinedStateError,
     bloch_from_state,
     default_device,
-    relaxation_probability,
     state_fidelity,
     state_from_angles,
     state_from_bloch,
@@ -143,11 +142,20 @@ def test_device_params_invariants():
         DeviceParams(t1_ns=100.0, t2_echo_ns=80.0, t2_ramsey_ns=90.0)
     with pytest.raises(DomainError):
         DeviceParams(t1_ns=-1.0, t2_echo_ns=1.0, t2_ramsey_ns=1.0)
+    # the reconstruction divides by the visibility
+    for visibility in (0.0, -0.1, 1.1):
+        with pytest.raises(DomainError):
+            default_device(visibility=visibility)
 
 
-def test_relaxation_probability_against_exponential():
-    d = default_device()
-    for t in (0.0, 3.0, 44.0, 450.0):
-        assert abs(relaxation_probability(d, t) - (1.0 - np.exp(-t / 450.0))) < 1e-15
-    with pytest.raises(DomainError):
-        relaxation_probability(d, -1.0)
+def test_pauli_vector_round_trip():
+    # oracle: r_i = tr(rho sigma_i) for unnormalized, mixed operators
+    rng = np.random.default_rng(47)
+    paulis = [np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]
+    for _ in range(50):
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        q = QubitState(a @ a.conj().T, 0.3)
+        want = [np.trace(q.rho @ np.array(s)).real for s in paulis]
+        assert np.allclose(q.pauli, want, atol=1e-14)
+        back = QubitState.from_pauli(q.pauli, q.escaped)
+        assert np.allclose(back.rho, q.rho, atol=1e-14) and back.escaped == 0.3

@@ -139,14 +139,20 @@ def test_collapse_sweep_oscillates_and_reversal_sweep_is_flat():
     assert devs[0] < devs[1] < devs[2]
 
 
-def test_reduced_visibility_shrinks_the_reconstruction():
-    q = state_from_angles(PureState(np.pi / 2, 0.3))
-    dim = default_device(visibility=0.9)
-    record = tomo_probabilities(q, 0.2, dim)
-    b = bloch_reconstruct(record)
-    assert b.norm < 1.0 - 1e-3   # inverse assumes v = 1, so contrast is lost
-    ideal = bloch_reconstruct(tomo_probabilities(q, 0.2, default_device()))
-    assert abs(ideal.norm - 1.0) < 1e-12
+def test_reconstruction_inverts_reduced_visibility_exactly():
+    rng = np.random.default_rng(97)
+    for visibility in (0.5, 0.9):
+        device = default_device(visibility=visibility)
+        for _ in range(50):
+            v = rng.normal(size=3)
+            v *= rng.uniform(0, 1.0) / np.linalg.norm(v)
+            p_b = rng.uniform(0, 0.95)
+            record = tomo_probabilities(state_from_bloch(BlochVector(*v)), p_b, device)
+            back = bloch_reconstruct(record, visibility)
+            assert np.max(np.abs(back.as_array() - v)) < 1e-12
+        # |0> stays on the sphere; the v = 1 inverse would leave the ball
+        ground = tomo_probabilities(state_from_angles(PureState(0.0)), 0.2, device)
+        assert abs(bloch_reconstruct(ground, visibility).norm - 1.0) < 1e-12
 
 
 def test_exact_record_ties_to_run_outcome():
