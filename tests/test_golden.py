@@ -14,6 +14,7 @@ import pytest
 from uncollapse.cli import main
 
 MC_GRID = [0.1, 0.47, 0.8]
+DECOHERED = {"decoherence": True, "device": {"visibility": 0.9}, "p_error_fraction": 0.05}
 
 CASES = {
     "uncollapse_mc": (
@@ -52,6 +53,23 @@ CASES = {
         {
             "out.csv": "b7ac66a2f183da06d0805aa0e22dcb8c9c5a5cbee8b059efdc91a6e433f5a63f",
             "out_chi_p0.47.json": "773517ebacad5dc2bfeab8c3ddc8522dd30d2d1a3f72fa7a4e881bd94f7456ec",
+        },
+    ),
+    # the exact engine's decohered path, below unit visibility and with a
+    # miscalibrated strength, as the exact benchmark grid runs it
+    "uncollapse_exact_decohered": (
+        ["uncollapse"],
+        DECOHERED,
+        {
+            "out.csv": "27d59605322375338b39389e7fff799894c95f2eb2decab4957179614c7c2043",
+        },
+    ),
+    "qpt_exact_decohered": (
+        ["qpt"],
+        DECOHERED,
+        {
+            "out.csv": "5f5c07a087303952ec57ced36eb299e3f3bca76219e04e807d9ee36e15149e26",
+            "out_chi_p0.47.json": "49c5add172e5913d7d6ce8e7b9edec40c31fbd41a4e9fcbf6fc445f7b4c549f0",
         },
     ),
 }
