@@ -19,7 +19,10 @@ exp(-t/T_phi).
 
 Both engines run these operations as Pauli transfer matrices on
 r = (tr rho, <X>, <Y>, <Z>) (Chow et al., PRL 109, 060501 (2012); Greenbaum,
-arXiv:1509.02921), built from the Kraus sets below.
+arXiv:1509.02921), built from the Kraus sets below.  The maps of a
+measurement, a rotation and a decoherence step depend only on their
+parameters, so each is built once per distinct value and kept in a bounded
+cache as read-only arrays.
 """
 
 import functools
@@ -150,8 +153,13 @@ class PartialMeasurement:
     def transfer(self, effect: str = ESCAPE) -> TransferOp:
         """Null branch as A0 and detection as A1; a detection escapes the well
         unless ``effect`` says otherwise (CLICK for the final readout)."""
-        null, tunnel = self.kraus().operators
-        return TransferOp(transfer_matrix([null]), transfer_matrix([tunnel]), effect)
+        return _measurement_transfer(self, effect)
+
+
+@functools.lru_cache(maxsize=256)
+def _measurement_transfer(m: PartialMeasurement, effect: str) -> TransferOp:
+    null, tunnel = m.kraus().operators
+    return TransferOp(transfer_matrix([null]), transfer_matrix([tunnel]), effect)
 
 
 @dataclass(frozen=True)
@@ -191,7 +199,13 @@ class RotationPulse:
         )
 
     def transfer(self) -> TransferOp:
-        return TransferOp(transfer_matrix([self.unitary()]))
+        # keyed by value: the axis array makes the pulse itself unhashable
+        return _rotation_transfer(tuple(self.axis.tolist()), self.angle)
+
+
+@functools.lru_cache(maxsize=64)
+def _rotation_transfer(axis: tuple, angle: float) -> TransferOp:
+    return TransferOp(transfer_matrix([RotationPulse(np.array(axis), angle).unitary()]))
 
 
 # tomography setting -> (axis, angle) of its analysis pulse

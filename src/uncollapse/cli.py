@@ -79,8 +79,9 @@ class SweepSpec:
             if value <= previous:
                 raise ConfigError("p_grid must be strictly increasing")
             previous = value
-        if self.shots < 1:
-            raise ConfigError("shots must be at least 1")
+        # a shot index must fit the 64-bit counter word of its stream
+        if not 1 <= self.shots <= 2**64:
+            raise ConfigError(f"shots {self.shots} outside [1, 2**64]")
         if not 0 <= self.seed < 2**128:
             raise ConfigError(f"seed {self.seed} outside [0, 2**128)")
 
@@ -129,6 +130,13 @@ def _integer(config: dict, key: str) -> int:
     return int(value)
 
 
+def _boolean(config: dict, key: str) -> bool:
+    value = config[key]
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def _strengths(config: dict, key: str) -> tuple:
     value = config[key]
     if not isinstance(value, list):
@@ -158,10 +166,10 @@ def assemble(config: dict, args: argparse.Namespace) -> tuple[SweepSpec, Experim
             p=0.0,
             pi_fraction=float(config["pi_fraction"]),
             device=device,
-            decoherence_enabled=bool(config["decoherence"]),
+            decoherence_enabled=_boolean(config, "decoherence"),
             phi_m_rate=float(config["phi_m_rate_rad"]),
             timing=timing,
-            use_echo_t2=bool(config["use_echo_t2"]),
+            use_echo_t2=_boolean(config, "use_echo_t2"),
             p_error_fraction=float(config["p_error_fraction"]),
         )
     except SimulationError as exc:

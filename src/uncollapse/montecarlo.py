@@ -38,6 +38,9 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _DOUBLE_SHIFT = np.uint64(11)
 _WORD = 1 << 64
+# shots sampled per pass of estimate_probabilities; the counter streams make
+# the result independent of it, and it bounds the memory a setting takes
+_SHOT_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -201,7 +204,9 @@ def estimate_probabilities(
     A detection at any point of a shot counts toward that setting's
     probability, matching what a threshold detector reports; the background
     is estimated from pre-analysis detections pooled over the three
-    settings.  Standard errors are sqrt(P(1-P)/n).
+    settings.  Standard errors are sqrt(P(1-P)/n).  Shots are sampled in
+    chunks of at most ``_SHOT_CHUNK``, with the same result for any chunk
+    size.
     """
     if n_shots < 1:
         raise DomainError("need at least one shot per setting")
@@ -211,14 +216,18 @@ def estimate_probabilities(
     escape_total = 0
     for j, setting in enumerate(TOMO_SETTINGS):
         seq = with_tomography(base, setting, cfg.timing)
-        uniforms = _shot_uniforms(seed, stream_base + j, 0, n_shots, _draw_count(seq, cfg))
-        outcomes, detected = _run_batch(seq, cfg, uniforms)
-        escaped = outcomes.any(axis=1)
-        clicked = escaped | detected
-        p_hat = float(np.count_nonzero(clicked)) / n_shots
+        n_draws = _draw_count(seq, cfg)
+        clicks = 0
+        for start in range(0, n_shots, _SHOT_CHUNK):
+            count = min(_SHOT_CHUNK, n_shots - start)
+            uniforms = _shot_uniforms(seed, stream_base + j, start, count, n_draws)
+            outcomes, detected = _run_batch(seq, cfg, uniforms)
+            escaped = outcomes.any(axis=1)
+            clicks += int(np.count_nonzero(escaped | detected))
+            escape_total += int(np.count_nonzero(escaped))
+        p_hat = clicks / n_shots
         probs[setting] = p_hat
         errors[setting] = float(np.sqrt(p_hat * (1.0 - p_hat) / n_shots))
-        escape_total += int(np.count_nonzero(escaped))
     pooled = 3 * n_shots
     p_b = escape_total / pooled
     record = TomographyRecord(

@@ -14,12 +14,15 @@ Two sequences are built here:
 operations that both engines run; it is the one place that reads step
 kinds.  Within a step the instantaneous operation acts first and
 decoherence then runs for the step's duration.  Exact execution folds the
-in-well maps: the null branch of each measurement drops the detected
-weight from the trace, so after the last step the trace is the success
-probability and ``escaped`` = 1 - trace is the background probability of a
-pre-analysis detection.
+in-well maps onto a stack of prepared states, so several inputs of one
+sequence (the process-tomography probes) share one compiled program and one
+fold: the null branch of each measurement drops the detected weight from
+the trace, so after the last step the trace is the success probability and
+``escaped`` = 1 - trace is the background probability of a pre-analysis
+detection.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
@@ -37,12 +40,19 @@ from .channels import (  # noqa: F401
     apply_decoherence,
     apply_partial_tunnel,
     apply_rotation,
-    chain,
     decoherence_ops,
     tomography_rotation,
 )
 from .errors import DomainError, StructuralError, UndefinedStateError
-from .qubit import DeviceParams, PureState, QubitState, default_device, state_from_angles
+from .qubit import (
+    DeviceParams,
+    PureState,
+    QubitState,
+    default_device,
+    operators_from_pauli,
+    state_from_angles,
+    validate_states,
+)
 
 PREPARE = "prepare"
 ROTATE = "rotate"
@@ -267,8 +277,7 @@ def compile_sequence(seq: PulseSequence, cfg: ExperimentConfig) -> tuple:
         if step.kind == PREPARE:
             if index:
                 raise StructuralError("sequence contains a second prepare step")
-            prepared = state_from_angles(step.payload).pauli
-            ops.append(TransferOp(np.outer(prepared, _UNIT_TRACE)))
+            ops.append(_prepare_op(step.payload))
         elif step.kind in (PARTIAL_MEASURE, ROTATE):
             ops.append(step.payload.transfer())
         elif step.kind == TOMOGRAPHY_ROTATE:
@@ -283,16 +292,52 @@ def compile_sequence(seq: PulseSequence, cfg: ExperimentConfig) -> tuple:
     return tuple(ops)
 
 
+@functools.lru_cache(maxsize=64)
+def _prepare_op(initial: PureState) -> TransferOp:
+    return TransferOp(np.outer(state_from_angles(initial).pauli, _UNIT_TRACE))
+
+
+@functools.lru_cache(maxsize=16)
+def _prepare_stack(initials: tuple) -> np.ndarray:
+    stack = np.stack([_prepare_op(initial).in_well for initial in initials])
+    stack.setflags(write=False)
+    return stack
+
+
+def fold_exact(
+    seq: PulseSequence, cfg: ExperimentConfig, initials: tuple | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evolve a stack of states through a sequence exactly, in one fold.
+
+    The sequence compiles once.  ``initials`` (PureStates) replace its
+    prepared state, one stack member each; None runs the sequence as built,
+    a stack of one.  The in-well maps fold onto the (k, 4, 4) stack of
+    prepare maps in sequence order, and the results are validated together.
+    Returns the (k, 2, 2) conditional operators and the (k,) escaped
+    probabilities.
+    """
+    ops = compile_sequence(seq, cfg)
+    acc = ops[0].in_well[None] if initials is None else _prepare_stack(tuple(initials))
+    for op in ops[1:]:
+        acc = op.in_well @ acc
+    r = acc @ _UNIT_TRACE
+    # roundoff can leave the trace an ulp above 1 when nothing escaped
+    escaped = np.maximum(1.0 - r[:, 0], 0.0)
+    rho = operators_from_pauli(r)
+    validate_states(rho, escaped, require_total=True)
+    return rho, escaped
+
+
 def run_exact(seq: PulseSequence, cfg: ExperimentConfig) -> RunOutcome:
-    """Evolve the conditional state through a sequence exactly.
+    """Evolve the conditional state through a sequence exactly: the
+    one-member case of :func:`fold_exact`.
 
     A full_measure step is allowed only as a terminal marker; detection
     statistics for it come from the analysis forward model, not from this
     routine.
     """
-    r = chain(compile_sequence(seq, cfg)) @ _UNIT_TRACE
-    # roundoff can leave the trace an ulp above 1 when nothing escaped
-    state = QubitState.from_pauli(r, max(1.0 - r[0], 0.0)).validate(require_total=True)
+    rho, escaped = fold_exact(seq, cfg)
+    state = QubitState(rho[0], escaped[0])
     return RunOutcome(
         conditional=state,
         p_background=state.escaped,

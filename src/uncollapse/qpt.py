@@ -15,15 +15,22 @@ Linear inversion of noisy data may leave the physical set.  That is
 reported through :func:`cp_diagnostics`, never repaired.
 """
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import SingularInversionError, StructuralError
 from .montecarlo import estimate_probabilities
-from .qubit import PAULI_BASIS, PureState, QubitState, state_from_angles
+from .qubit import PAULI_BASIS, PureState, operators_from_pauli, state_from_angles
 from .protocol import ExperimentConfig
-from .tomography import bloch_reconstruct, exact_tomography_record
+# exact_tomography_record is not called here; it stays importable from this
+# module, where perfbench/tracer.py looks the per-probe record up
+from .tomography import (  # noqa: F401
+    bloch_reconstruct,
+    exact_tomography_record,
+    exact_tomography_records,
+)
 
 PAULI_LABELS = ("I", "X", "Y", "Z")
 
@@ -47,11 +54,16 @@ class ProbeSet:
     def __post_init__(self):
         if len(self.inputs) != 4 or len(self.outputs) != 4:
             raise StructuralError("process tomography needs exactly four probes")
-        # tr(rho_a rho_b) = r_a . r_b / 2
-        paulis = np.array([state_from_angles(s).pauli for s in self.inputs])
-        gram = paulis @ paulis.T / 2.0
-        if abs(np.linalg.det(gram)) < _GRAM_FLOOR:
-            raise SingularInversionError("probe states are not linearly independent")
+        _check_independent(tuple(self.inputs))
+
+
+@functools.lru_cache(maxsize=16)
+def _check_independent(inputs: tuple) -> None:
+    # tr(rho_a rho_b) = r_a . r_b / 2
+    paulis = np.array([state_from_angles(s).pauli for s in inputs])
+    gram = paulis @ paulis.T / 2.0
+    if abs(np.linalg.det(gram)) < _GRAM_FLOOR:
+        raise SingularInversionError("probe states are not linearly independent")
 
 
 @dataclass(frozen=True)
@@ -91,18 +103,23 @@ def chi_apply(chi: ChiMatrix, rho: np.ndarray) -> np.ndarray:
     return np.einsum("mn,mab,bc,ncd->ad", chi.matrix, PAULI_BASIS, rho, PAULI_BASIS)
 
 
-def qpt_reconstruct(probes: ProbeSet) -> ChiMatrix:
-    """Solve the 16x16 linear system mapping chi onto the probe outputs."""
-    # row (i, a, d), column (m, n): entry (a, d) of sigma_m rho_i sigma_n
-    rhos = [state_from_angles(probe).rho for probe in probes.inputs]
-    terms = np.einsum("mab,ibc,ncd->iadmn", PAULI_BASIS, rhos, PAULI_BASIS)
-    a = terms.reshape(16, 16)
-    # noisy reconstructions may leave the unit ball; no validation here
-    b = np.concatenate(
-        [QubitState.from_pauli((1.0, v.x, v.y, v.z)).rho.reshape(4) for v in probes.outputs]
-    )
+@functools.lru_cache(maxsize=16)
+def _design_matrix(inputs: tuple) -> np.ndarray:
+    """The 16x16 map from chi onto the probe outputs of ``inputs``: row
+    (i, a, d), column (m, n) is entry (a, d) of sigma_m rho_i sigma_n."""
+    rhos = [state_from_angles(probe).rho for probe in inputs]
+    a = np.einsum("mab,ibc,ncd->iadmn", PAULI_BASIS, rhos, PAULI_BASIS).reshape(16, 16)
     if np.linalg.cond(a) > 1e12:
         raise SingularInversionError("probe design matrix is numerically singular")
+    a.setflags(write=False)
+    return a
+
+
+def qpt_reconstruct(probes: ProbeSet) -> ChiMatrix:
+    """Solve the 16x16 linear system mapping chi onto the probe outputs."""
+    a = _design_matrix(tuple(probes.inputs))
+    # noisy reconstructions may leave the unit ball; no validation here
+    b = operators_from_pauli(np.array([(1.0, v.x, v.y, v.z) for v in probes.outputs])).reshape(16)
     try:
         solution = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
@@ -129,12 +146,11 @@ def cp_diagnostics(chi: ChiMatrix, tol: float = 1e-9) -> CpReport:
 
 
 def exact_uncollapse_chi(cfg: ExperimentConfig) -> ChiMatrix:
-    """Process matrix of the reversal sequence from exact evolution."""
-    outputs = []
-    for probe in PROBE_STATES:
-        record, _ = exact_tomography_record(replace(cfg, initial=probe), "uncollapse")
-        outputs.append(bloch_reconstruct(record, cfg.device.visibility))
-    return qpt_reconstruct(ProbeSet(PROBE_STATES, tuple(outputs)))
+    """Process matrix of the reversal sequence from exact evolution, with the
+    four probes run as one stack through one compiled sequence."""
+    records = exact_tomography_records(cfg, PROBE_STATES, "uncollapse")
+    outputs = tuple(bloch_reconstruct(record, cfg.device.visibility) for record in records)
+    return qpt_reconstruct(ProbeSet(PROBE_STATES, outputs))
 
 
 def montecarlo_uncollapse_chi(

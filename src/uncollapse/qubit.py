@@ -103,6 +103,59 @@ class BlochVector:
         return self
 
 
+def operators_from_pauli(r: np.ndarray) -> np.ndarray:
+    """(k, 2, 2) operators (r0*I + r1*X + r2*Y + r3*Z)/2 of a (k, 4) stack
+    of unnormalized Pauli vectors."""
+    t, x, y, z = r.T
+    entries = 0.5 * np.array([t + z, x - 1.0j * y, x + 1.0j * y, t - z])
+    return entries.T.reshape(-1, 2, 2)
+
+
+def pauli_vectors(rho: np.ndarray) -> np.ndarray:
+    """(k, 4) unnormalized Pauli vectors (tr rho, <X>, <Y>, <Z>) of a
+    (k, 2, 2) stack of operators."""
+    diag_sum = (rho[:, 0, 0] + rho[:, 1, 1]).real
+    diag_diff = (rho[:, 0, 0] - rho[:, 1, 1]).real
+    coherence = rho[:, 0, 1]
+    return np.array([diag_sum, 2.0 * coherence.real, -2.0 * coherence.imag, diag_diff]).T
+
+
+def validate_states(
+    rho: np.ndarray, escaped: np.ndarray, require_total: bool = True, atol: float = EXACT_TOL
+) -> None:
+    """Check a (k, 2, 2) stack of conditional operators and their (k,)
+    escaped probabilities: hermiticity, positivity, and probability
+    bookkeeping.
+
+    ``require_total`` additionally demands trace(rho) + escaped == 1, which
+    holds whenever detected weight is moved into ``escaped`` rather than
+    silently discarded.  One ``eigvalsh`` covers the stack; the checks run
+    in the order above, each over every member, and the first member that
+    fails one names the error.
+    """
+    adjoint = rho.conj().swapaxes(-1, -2)
+    if (abs(rho - adjoint).reshape(-1, 4).max(axis=1) > atol).any():
+        raise DomainError("density operator is not Hermitian")
+    for eig in np.linalg.eigvalsh((rho + adjoint) / 2.0)[:, 0].tolist():
+        if eig < -atol:
+            raise DomainError(f"density operator has negative eigenvalue {eig}")
+    traces = rho.trace(axis1=-2, axis2=-1).real.tolist()
+    for tr in traces:
+        if not -atol <= tr <= 1.0 + atol:
+            raise DomainError(f"conditional trace {tr} outside [0, 1]")
+    escaped = np.asarray(escaped).tolist()
+    for esc in escaped:
+        if not -atol <= esc <= 1.0 + atol:
+            raise DomainError(f"escaped probability {esc} outside [0, 1]")
+    totals = [tr + esc for tr, esc in zip(traces, escaped)]
+    for total in totals:
+        if total > 1.0 + atol:
+            raise DomainError(f"trace + escaped = {total} exceeds 1")
+    for total in totals if require_total else ():
+        if total < 1.0 - atol:
+            raise DomainError(f"trace + escaped = {total} does not close to 1")
+
+
 @dataclass(frozen=True)
 class QubitState:
     """Unnormalized conditional density operator plus escaped probability."""
@@ -121,15 +174,12 @@ class QubitState:
     @classmethod
     def from_pauli(cls, r, escaped: float = 0.0) -> "QubitState":
         """Operator (r0*I + r1*X + r2*Y + r3*Z)/2 of an unnormalized Pauli vector."""
-        t, x, y, z = r
-        return cls(0.5 * np.array([[t + z, x - 1.0j * y], [x + 1.0j * y, t - z]]), escaped)
+        return cls(operators_from_pauli(np.array([r], dtype=float))[0], escaped)
 
     @property
     def pauli(self) -> np.ndarray:
         """Unnormalized Pauli vector (tr rho, <X>, <Y>, <Z>) of the operator."""
-        rho = self.rho
-        t, z = (rho[0, 0] + rho[1, 1]).real, (rho[0, 0] - rho[1, 1]).real
-        return np.array([t, 2.0 * rho[0, 1].real, -2.0 * rho[0, 1].imag, z])
+        return pauli_vectors(self.rho[None])[0]
 
     @property
     def trace(self) -> float:
@@ -151,27 +201,9 @@ class QubitState:
         return QubitState(self.rho / tr, 0.0)
 
     def validate(self, require_total: bool = True, atol: float = EXACT_TOL) -> "QubitState":
-        """Check hermiticity, positivity, and probability bookkeeping.
-
-        ``require_total`` additionally demands trace(rho) + escaped == 1,
-        which holds whenever detected weight is moved into ``escaped``
-        rather than silently discarded.
-        """
-        if np.max(np.abs(self.rho - self.rho.conj().T)) > atol:
-            raise DomainError("density operator is not Hermitian")
-        eigs = np.linalg.eigvalsh((self.rho + self.rho.conj().T) / 2.0)
-        if eigs[0] < -atol:
-            raise DomainError(f"density operator has negative eigenvalue {eigs[0]}")
-        tr = self.trace
-        if not -atol <= tr <= 1.0 + atol:
-            raise DomainError(f"conditional trace {tr} outside [0, 1]")
-        if not -atol <= self.escaped <= 1.0 + atol:
-            raise DomainError(f"escaped probability {self.escaped} outside [0, 1]")
-        total = tr + self.escaped
-        if total > 1.0 + atol:
-            raise DomainError(f"trace + escaped = {total} exceeds 1")
-        if require_total and total < 1.0 - atol:
-            raise DomainError(f"trace + escaped = {total} does not close to 1")
+        """Check hermiticity, positivity, and probability bookkeeping: the
+        one-member case of :func:`validate_states`."""
+        validate_states(self.rho[None], np.array([self.escaped]), require_total, atol)
         return self
 
 

@@ -49,9 +49,10 @@ from .protocol import (
     RunOutcome,
     SequenceStep,
     build_sequence,
+    fold_exact,
     run_exact,
 )
-from .qubit import TRACE_FLOOR, BlochVector, DeviceParams, QubitState
+from .qubit import TRACE_FLOOR, BlochVector, DeviceParams, QubitState, pauli_vectors
 
 TOMO_SETTINGS = ("x", "y", "z")
 
@@ -111,6 +112,26 @@ def _readout_rows(visibility: float, tomo_decoherence: DecoherenceStep | None) -
     return rows
 
 
+def _forward(paulis: np.ndarray, p_b: np.ndarray, d: DeviceParams, tomo_decoherence) -> list:
+    """Forward detection model over a stack: the (k, 4) Pauli vectors of the
+    conditional states and their (k,) background probabilities give one
+    record per member, from one matrix product for the whole stack."""
+    for trace, background in zip(paulis[:, 0], p_b):
+        if trace <= TRACE_FLOOR:
+            raise UndefinedStateError("tomography of a vanished conditional state")
+        if not 0.0 <= background <= 1.0:
+            raise DomainError(f"background probability must lie in [0, 1], got {float(background)}")
+    rows = _readout_rows(d.visibility, tomo_decoherence)
+    # one matrix-vector product per member, so that a stack computes exactly
+    # what a single state does
+    populations = (rows @ (paulis / paulis[:, :1])[:, :, None])[:, :, 0]
+    probs = p_b[:, None] + (1.0 - p_b[:, None]) * populations
+    return [
+        TomographyRecord(p_x=float(p_x), p_y=float(p_y), p_z=float(p_z), p_b=float(background))
+        for (p_x, p_y, p_z), background in zip(probs, p_b)
+    ]
+
+
 def tomo_probabilities(
     q: QubitState,
     p_b: float,
@@ -123,13 +144,8 @@ def tomo_probabilities(
     pulse window (rotation first, then decay), mirroring exact execution of
     an appended tomography step.
     """
-    if q.trace <= TRACE_FLOOR:
-        raise UndefinedStateError("tomography of a vanished conditional state")
-    if not 0.0 <= p_b <= 1.0:
-        raise DomainError(f"background probability must lie in [0, 1], got {p_b}")
-    populations = _readout_rows(d.visibility, tomo_decoherence) @ (q.pauli / q.trace)
-    p_x, p_y, p_z = (float(p_b + (1.0 - p_b) * v) for v in populations)
-    return TomographyRecord(p_x=p_x, p_y=p_y, p_z=p_z, p_b=p_b)
+    paulis = pauli_vectors(q.rho[None])
+    return _forward(paulis, np.array([p_b], dtype=float), d, tomo_decoherence)[0]
 
 
 def bloch_reconstruct(t: TomographyRecord, visibility: float = 1.0) -> BlochVector:
@@ -184,15 +200,31 @@ def with_tomography(seq: PulseSequence, setting: str, timing: PulseTiming) -> Pu
     )
 
 
+def _analysis_decoherence(cfg: ExperimentConfig) -> DecoherenceStep | None:
+    if cfg.decoherence_enabled and cfg.timing.tomography_ns > 0.0:
+        return cfg.decoherence_for(cfg.timing.tomography_ns)
+    return None
+
+
 def exact_tomography_record(
     cfg: ExperimentConfig, kind: str = "uncollapse"
 ) -> tuple[TomographyRecord, RunOutcome]:
     """Run a sequence exactly and evaluate the tomography forward model."""
     outcome = run_exact(build_sequence(kind, cfg), cfg)
-    tomo_dec = None
-    if cfg.decoherence_enabled and cfg.timing.tomography_ns > 0.0:
-        tomo_dec = cfg.decoherence_for(cfg.timing.tomography_ns)
     record = tomo_probabilities(
-        outcome.conditional, outcome.p_background, cfg.device, tomo_decoherence=tomo_dec
+        outcome.conditional,
+        outcome.p_background,
+        cfg.device,
+        tomo_decoherence=_analysis_decoherence(cfg),
     )
     return record, outcome
+
+
+def exact_tomography_records(
+    cfg: ExperimentConfig, initials: tuple, kind: str = "uncollapse"
+) -> list:
+    """The records :func:`exact_tomography_record` gives for each of
+    ``initials`` in place of ``cfg.initial``, from one compiled sequence, one
+    fold and one forward-model pass over the stack of states."""
+    rho, escaped = fold_exact(build_sequence(kind, cfg), cfg, initials)
+    return _forward(pauli_vectors(rho), escaped, cfg.device, _analysis_decoherence(cfg))

@@ -265,3 +265,23 @@ def test_ground_state_is_a_decoherence_fixed_point():
     q = state_from_angles(PureState(0.0))
     out = apply_decoherence(q, DecoherenceStep(100.0, 450.0, 600.0))
     assert np.allclose(out.rho, q.rho, atol=1e-15)
+
+
+def test_memoized_maps_are_shared_and_read_only():
+    from uncollapse.protocol import _prepare_op, _prepare_stack
+    from uncollapse.qpt import PROBE_STATES, _design_matrix
+    from uncollapse.tomography import _readout_rows
+
+    measure = PartialMeasurement(0.3, 0.7)
+    assert measure.transfer() is PartialMeasurement(0.3, 0.7).transfer()
+    pulse = RotationPulse.about_x(np.pi, 10.0)
+    assert pulse.transfer() is RotationPulse.about_x(np.pi, 2.0).transfer()
+    step = DecoherenceStep(10.0, 450.0, 500.0)
+    ops = [measure.transfer(), measure.transfer(CLICK), pulse.transfer(),
+           tomography_rotation("x").transfer(), *decoherence_ops(step), _prepare_op(PureState(1.0))]
+    arrays = [m for op in ops for m in (op.no_event, op.event, op.in_well) if m is not None]
+    arrays += [_prepare_stack(PROBE_STATES), _design_matrix(PROBE_STATES),
+               _readout_rows(0.9, step)]
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.5

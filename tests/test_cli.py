@@ -211,6 +211,10 @@ def test_bad_configs_exit_2(tmp_path):
         ({"device": {"visibility": 0.0}}, []),
         ({"phi0_rad": float("nan")}, []),
         ({"device": {"t1_ns": float("inf")}}, []),
+        ({"decoherence": "false"}, []),
+        ({"use_echo_t2": 1}, []),
+        ({"shots": 2**64 + 1}, []),
+        ({}, ["--shots", str(2**64 + 1), "--mode", "mc"]),
     ],
 )
 @pytest.mark.parametrize("command", ["collapse", "uncollapse", "qpt"])

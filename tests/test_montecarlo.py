@@ -65,6 +65,21 @@ def test_partitioning_shots_does_not_change_outcomes():
     assert np.array_equal(out_full[1], out_split[1])
 
 
+def test_chunked_estimates_are_bit_identical(monkeypatch):
+    import uncollapse.montecarlo as montecarlo
+
+    cfg = _cfg(p=0.3, decoherence_enabled=True)
+    whole = estimate_probabilities(cfg, 50, seed=9, stream_base=6)
+    sizes = []
+    shot_uniforms = montecarlo._shot_uniforms
+    monkeypatch.setattr(montecarlo, "_SHOT_CHUNK", 7)
+    monkeypatch.setattr(
+        montecarlo, "_shot_uniforms", lambda *a: sizes.append(a[3]) or shot_uniforms(*a)
+    )
+    assert estimate_probabilities(cfg, 50, seed=9, stream_base=6) == whole
+    assert sizes == 3 * ([7] * 7 + [1])
+
+
 @pytest.mark.parametrize("stream", [0, 65])
 @pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1, 2**64 + 5, 2**128 - 1])
 def test_shot_uniforms_match_numpy_philox_streams(seed, stream):

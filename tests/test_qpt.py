@@ -23,7 +23,13 @@ from uncollapse import (
     state_from_angles,
 )
 from uncollapse.channels import chain
-from uncollapse.protocol import build_uncollapse, compile_sequence
+from uncollapse.protocol import PulseTiming, build_uncollapse, compile_sequence
+from uncollapse.qubit import default_device
+from uncollapse.tomography import (
+    bloch_reconstruct,
+    exact_tomography_record,
+    exact_tomography_records,
+)
 
 SIGMA = (
     np.eye(2, dtype=complex),
@@ -182,3 +188,69 @@ def test_cp_diagnostics_reports_without_repair():
     r3 = cp_diagnostics(noisy)
     assert r3.min_eigenvalue >= -0.05
     assert r3.hermiticity_residual < 1e-10   # inversion of real data stays Hermitian
+
+
+def _per_probe_chi(cfg):
+    # the reference: one exact record per probe, each from its own sequence
+    from dataclasses import replace
+
+    records = [exact_tomography_record(replace(cfg, initial=probe))[0] for probe in PROBE_STATES]
+    outputs = tuple(bloch_reconstruct(r, cfg.device.visibility) for r in records)
+    return records, qpt_reconstruct(ProbeSet(PROBE_STATES, outputs))
+
+
+def _random_configs(rng, count):
+    # every decoherence / echo-T2 combination, the rest drawn at random
+    for i in range(count):
+        yield dict(
+            decoherence_enabled=bool(i % 2),
+            use_echo_t2=bool(i // 2 % 2),
+            pi_fraction=rng.choice([1.0, rng.uniform(0.8, 1.1)]),
+            device=default_device(rng.choice([1.0, rng.uniform(0.5, 1.0)])),
+            phi_m_rate=rng.uniform(0.0, 20.0),
+            p_error_fraction=rng.uniform(-0.05, 0.05),
+            timing=PulseTiming(idle_ns=rng.uniform(0, 30), tomography_ns=rng.uniform(0, 15)),
+        )
+
+
+def test_stacked_chi_equals_the_per_probe_reference():
+    # exactly equal, not close: the stack runs the same arithmetic per probe
+    rng = np.random.default_rng(505)
+    grid = [round(0.05 * i, 10) for i in range(20)]
+    for options in _random_configs(rng, 12):
+        for p in grid:
+            initial = PureState(rng.uniform(0, np.pi), rng.uniform(0, 6))
+            cfg = ExperimentConfig(initial, p, **options)
+            records, reference = _per_probe_chi(cfg)
+            assert exact_tomography_records(cfg, PROBE_STATES) == records
+            assert np.array_equal(exact_uncollapse_chi(cfg).matrix, reference.matrix)
+
+
+def test_exact_chi_compiles_once_and_checks_positivity_once(monkeypatch):
+    import uncollapse.protocol as protocol
+
+    eigvalsh_calls, compile_calls = [], []
+    eigvalsh, compile_sequence = np.linalg.eigvalsh, protocol.compile_sequence
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh_calls.append(1) or eigvalsh(a))
+    monkeypatch.setattr(
+        protocol, "compile_sequence", lambda *a: compile_calls.append(1) or compile_sequence(*a)
+    )
+    for decoherence in (False, True):
+        cfg = ExperimentConfig(PureState(1.0, 0.5), p=0.47, decoherence_enabled=decoherence)
+        eigvalsh_calls.clear()
+        compile_calls.clear()
+        exact_uncollapse_chi(cfg)
+        assert len(eigvalsh_calls) == 1 and len(compile_calls) == 1
+
+
+def test_design_and_probe_checks_still_run_for_every_probe_tuple():
+    degenerate = (PureState(0.0), PureState(0.0), PureState(0.0), PureState(0.0))
+    outs = tuple(bloch_from_state(state_from_angles(s)) for s in degenerate)
+    for _ in range(2):  # a failed check is not remembered as a pass
+        with pytest.raises(SingularInversionError):
+            ProbeSet(degenerate, outs)
+    from uncollapse.qpt import _design_matrix
+
+    for _ in range(2):
+        with pytest.raises(SingularInversionError):
+            _design_matrix(degenerate)

@@ -16,6 +16,7 @@ from uncollapse import (
     state_from_angles,
     state_from_bloch,
 )
+from uncollapse.qubit import validate_states
 
 
 def test_pure_state_amplitudes_are_normalized():
@@ -84,6 +85,45 @@ def test_qubit_state_shape_and_bookkeeping_checks():
         QubitState(np.array([[0.5, 0.5], [-0.5, 0.5]]), 0.0).validate()
     with pytest.raises(DomainError):
         QubitState(np.array([[1.2, 0.0], [0.0, -0.2]]), 0.0).validate()
+
+
+# one faulty member per case, with the text QubitState.validate has always given
+_FAULTY_MEMBERS = [
+    (np.array([[0.5, 0.5], [-0.5, 0.5]]), 0.0, r"density operator is not Hermitian"),
+    (np.diag([0.65, -0.15]), 0.5, r"density operator has negative eigenvalue -0\.15"),
+    (np.diag([0.6, 0.6]), 0.0, r"conditional trace 1\.2 outside \[0, 1\]"),
+    (np.diag([0.3, 0.3]), -0.2, r"escaped probability -0\.2 outside \[0, 1\]"),
+    (np.diag([0.4, 0.4]), 0.4, r"trace \+ escaped = 1\.2000000000000002 exceeds 1"),
+    (np.diag([0.25, 0.25]), 0.3, r"trace \+ escaped = 0\.8 does not close to 1"),
+]
+
+
+@pytest.mark.parametrize("rho, escaped, message", _FAULTY_MEMBERS)
+@pytest.mark.parametrize("position", [0, 2, 3])
+def test_stacked_validation_raises_what_a_single_state_raises(rho, escaped, message, position):
+    rng = np.random.default_rng(position)
+    good = []
+    for _ in range(3):
+        trace = rng.uniform(0.1, 1.0)
+        pure = state_from_angles(PureState(rng.uniform(0, np.pi), rng.uniform(0, 6))).rho
+        good.append((trace * pure, 1.0 - trace))
+    validate_states(np.array([m for m, _ in good]), np.array([e for _, e in good]))
+    members = good[:position] + [(rho, escaped)] + good[position:]
+    stack = np.array([m for m, _ in members], dtype=complex)
+    escapes = np.array([e for _, e in members])
+    with pytest.raises(DomainError, match=message) as single:
+        QubitState(rho, escaped).validate()
+    with pytest.raises(DomainError) as stacked:
+        validate_states(stack, escapes)
+    assert str(stacked.value) == str(single.value)
+
+
+def test_stacked_validation_passes_good_stacks_and_checks_all_of_them():
+    members = [state_from_angles(PureState(t, 0.3)).rho for t in np.linspace(0, np.pi, 5)]
+    validate_states(np.array(members), np.zeros(5))
+    validate_states(np.array(members) * 0.5, np.full(5, 0.2), require_total=False)
+    with pytest.raises(DomainError, match="does not close"):
+        validate_states(np.array(members) * 0.5, np.full(5, 0.2))
 
 
 def test_normalized_strips_escape_record():
