@@ -156,7 +156,11 @@ class PartialMeasurement:
         return _measurement_transfer(self, effect)
 
 
-@functools.lru_cache(maxsize=256)
+# Serves reuse within one sweep point only: the reversal's two measurements
+# share (p, phi_m), and the Monte Carlo engine compiles each point once per
+# probe and setting.  A sweep does not return to a strength, so entries from
+# earlier points are dead and a small LRU keeps the few live ones.
+@functools.lru_cache(maxsize=16)
 def _measurement_transfer(m: PartialMeasurement, effect: str) -> TransferOp:
     null, tunnel = m.kraus().operators
     return TransferOp(transfer_matrix([null]), transfer_matrix([tunnel]), effect)

@@ -297,13 +297,6 @@ def _prepare_op(initial: PureState) -> TransferOp:
     return TransferOp(np.outer(state_from_angles(initial).pauli, _UNIT_TRACE))
 
 
-@functools.lru_cache(maxsize=16)
-def _prepare_stack(initials: tuple) -> np.ndarray:
-    stack = np.stack([_prepare_op(initial).in_well for initial in initials])
-    stack.setflags(write=False)
-    return stack
-
-
 def fold_exact(
     seq: PulseSequence, cfg: ExperimentConfig, initials: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -317,7 +310,10 @@ def fold_exact(
     probabilities.
     """
     ops = compile_sequence(seq, cfg)
-    acc = ops[0].in_well[None] if initials is None else _prepare_stack(tuple(initials))
+    if initials is None:
+        acc = ops[0].in_well[None]
+    else:
+        acc = np.stack([_prepare_op(initial).in_well for initial in initials])
     for op in ops[1:]:
         acc = op.in_well @ acc
     r = acc @ _UNIT_TRACE

@@ -148,7 +148,7 @@ def cp_diagnostics(chi: ChiMatrix, tol: float = 1e-9) -> CpReport:
 def exact_uncollapse_chi(cfg: ExperimentConfig) -> ChiMatrix:
     """Process matrix of the reversal sequence from exact evolution, with the
     four probes run as one stack through one compiled sequence."""
-    records = exact_tomography_records(cfg, PROBE_STATES, "uncollapse")
+    records = exact_tomography_records(cfg, PROBE_STATES)
     outputs = tuple(bloch_reconstruct(record, cfg.device.visibility) for record in records)
     return qpt_reconstruct(ProbeSet(PROBE_STATES, outputs))
 

@@ -49,6 +49,7 @@ from .protocol import (
     RunOutcome,
     SequenceStep,
     build_sequence,
+    build_uncollapse,
     fold_exact,
     run_exact,
 )
@@ -220,11 +221,10 @@ def exact_tomography_record(
     return record, outcome
 
 
-def exact_tomography_records(
-    cfg: ExperimentConfig, initials: tuple, kind: str = "uncollapse"
-) -> list:
-    """The records :func:`exact_tomography_record` gives for each of
-    ``initials`` in place of ``cfg.initial``, from one compiled sequence, one
-    fold and one forward-model pass over the stack of states."""
-    rho, escaped = fold_exact(build_sequence(kind, cfg), cfg, initials)
+def exact_tomography_records(cfg: ExperimentConfig, initials: tuple) -> list:
+    """The records :func:`exact_tomography_record` gives on the reversal
+    sequence for each of ``initials`` in place of ``cfg.initial``, from one
+    compiled sequence, one fold and one forward-model pass over the stack of
+    states."""
+    rho, escaped = fold_exact(build_uncollapse(cfg), cfg, initials)
     return _forward(pauli_vectors(rho), escaped, cfg.device, _analysis_decoherence(cfg))
