@@ -14,6 +14,7 @@ Exit codes: 2 for a bad config, 3 for a numeric failure during the run.
 import argparse
 import json
 import math
+import reprlib
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -33,6 +34,7 @@ QPT_HEADER = ["p", "fidelity"]
 
 DEFAULT_P_GRID = [round(0.05 * i, 10) for i in range(20)]   # 0.00 .. 0.95
 
+# the config schema: a key takes the type of its default (see _typed)
 DEFAULT_CONFIG = {
     "theta0_rad": math.pi / 2.0,
     "phi0_rad": 0.0,
@@ -86,96 +88,85 @@ class SweepSpec:
             raise ConfigError(f"seed {self.seed} outside [0, 2**128)")
 
 
-def _merge(defaults: dict, overrides: dict, context: str) -> dict:
-    merged = dict(defaults)
-    for key, value in overrides.items():
-        if key not in defaults:
-            raise ConfigError(f"unknown config key {context}{key!r}")
-        if isinstance(defaults[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {context}{key!r} must be an object")
-            merged[key] = _merge(defaults[key], value, context=f"{key}.")
-        else:
-            merged[key] = value
-    return merged
+_KINDS = {dict: "an object", list: "a list", bool: "true or false", str: "a string",
+          int: "an integer", float: "a finite number"}
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ConfigError(f"config numbers must be finite, got {text}")
-    return value
+def _typed(default, value, key: str):
+    """``value`` checked against the type of its ``default``, which it replaces.
+
+    Objects merge over their defaults key by key and list items take the type
+    of the default's items.  Numbers are JSON numbers, never bools or strings;
+    an int key takes integral numbers and keeps them exact (a seed may need all
+    128 bits).  Ranges are checked where the values are used.
+    """
+    kind = type(default)
+    if kind is dict and type(value) is dict:
+        prefix = f"{key}." if key else ""
+        for name in value:
+            if name not in default:
+                raise ConfigError(f"unknown config key {prefix}{name!r}")
+        return {name: _typed(item, value.get(name, item), prefix + name)
+                for name, item in default.items()}
+    if kind is list and type(value) is list:
+        return [_typed(default[0], item, key) for item in value]
+    # the bound also rejects NaN and integers too large for a float
+    if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    if kind is int and (type(value) is int or type(value) is float and value.is_integer()):
+        return int(value)
+    if kind in (bool, str) and type(value) is kind:
+        return value
+    raise ConfigError(f"{key} must be {_KINDS[kind]}, got {reprlib.repr(value)}")
 
 
 def load_config(path: str | None) -> dict:
-    """Read and validate a config file, filling in defaults."""
+    """Read a config file as a JSON object; no file reads as ``{}``."""
     if path is None:
-        return json.loads(json.dumps(DEFAULT_CONFIG))
+        return {}
     try:
-        raw = json.loads(Path(path).read_text(), parse_float=_finite, parse_constant=_finite)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, not JSON, nested too deep, or an integer over the digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    return _merge(DEFAULT_CONFIG, raw, context="")
+    return raw
 
 
-def _integer(config: dict, key: str) -> int:
-    value = config[key]
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral:
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _boolean(config: dict, key: str) -> bool:
-    value = config[key]
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
-    return value
-
-
-def _strengths(config: dict, key: str) -> tuple:
-    value = config[key]
-    if not isinstance(value, list):
-        raise ConfigError(f"{key} must be a list of strengths, got {value!r}")
-    return tuple(float(v) for v in value)
-
-
-def assemble(config: dict, args: argparse.Namespace) -> tuple[SweepSpec, ExperimentConfig]:
-    """Combine config values and flag overrides into run inputs."""
+def assemble(raw: dict, args: argparse.Namespace) -> tuple[SweepSpec, ExperimentConfig]:
+    """Merge the config and the flag overrides over the defaults, check them
+    against ``DEFAULT_CONFIG`` and build the run inputs."""
+    raw = dict(raw)
     for key in ("mode", "shots", "seed", "pi_fraction"):
         if getattr(args, key) is not None:
-            config[key] = getattr(args, key)
+            raw[key] = getattr(args, key)
     if args.no_decoherence:
-        config["decoherence"] = False
+        raw["decoherence"] = False
+    config = _typed(DEFAULT_CONFIG, raw, "")
     try:
         sweep = SweepSpec(
-            p_grid=_strengths(config, "p_grid"),
-            mode=str(config["mode"]),
-            shots=_integer(config, "shots"),
-            seed=_integer(config, "seed"),
-            chi_p=_strengths(config, "chi_p"),
+            p_grid=tuple(config["p_grid"]),
+            mode=config["mode"],
+            shots=config["shots"],
+            seed=config["seed"],
+            chi_p=tuple(config["chi_p"]),
         )
-        device = DeviceParams(**{key: float(v) for key, v in config["device"].items()})
-        timing = PulseTiming(**{f"{key}_ns": float(v) for key, v in config["timing_ns"].items()})
         base = ExperimentConfig(
-            initial=PureState(float(config["theta0_rad"]), float(config["phi0_rad"])),
+            initial=PureState(config["theta0_rad"], config["phi0_rad"]),
             p=0.0,
-            pi_fraction=float(config["pi_fraction"]),
-            device=device,
-            decoherence_enabled=_boolean(config, "decoherence"),
-            phi_m_rate=float(config["phi_m_rate_rad"]),
-            timing=timing,
-            use_echo_t2=_boolean(config, "use_echo_t2"),
-            p_error_fraction=float(config["p_error_fraction"]),
+            pi_fraction=config["pi_fraction"],
+            device=DeviceParams(**config["device"]),
+            decoherence_enabled=config["decoherence"],
+            phi_m_rate=config["phi_m_rate_rad"],
+            timing=PulseTiming(**{f"{key}_ns": v for key, v in config["timing_ns"].items()}),
+            use_echo_t2=config["use_echo_t2"],
+            p_error_fraction=config["p_error_fraction"],
         )
     except SimulationError as exc:
         raise ConfigError(str(exc)) from exc
-    except (TypeError, KeyError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"malformed config value: {exc}") from exc
     return sweep, base
 
 

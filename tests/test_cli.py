@@ -215,12 +215,37 @@ def test_bad_configs_exit_2(tmp_path):
         ({"use_echo_t2": 1}, []),
         ({"shots": 2**64 + 1}, []),
         ({}, ["--shots", str(2**64 + 1), "--mode", "mc"]),
+        # strings and booleans are not numbers, in any slot
+        ({"p_grid": [False, "0.5"]}, []),
+        ({"theta0_rad": "1.0"}, []),
+        ({"pi_fraction": True}, []),
+        ({"device": {"t1_ns": "450"}}, []),
+        ({"timing_ns": {"idle": False}}, []),
+        ({"chi_p": [True]}, []),
+        ({"p_error_fraction": None}, []),
+        ({"phi_m_rate_rad": "1e999"}, []),
+        # flags pass the same checks as the file
+        ({}, ["--pi-fraction", "nan"]),
+        ({}, ["--pi-fraction", "inf"]),
+        ({}, ["--pi-fraction", "1e999"]),
+        # integers beyond the float range
+        ({"theta0_rad": 10**400}, []),
+        ({"p_grid": [10**400]}, []),
+        # raw file bytes: a literal json.dumps cannot write, and unreadable files
+        pytest.param(b'{"theta0_rad": 1e999}', [], id="literal-1e999"),
+        pytest.param(b'{"theta0_rad": "\xff"}', [], id="not-utf8"),
+        pytest.param(b"[" * 200_000 + b"]" * 200_000, [], id="nested-200000-deep"),
+        pytest.param(b'{"seed": 1' + b"0" * 5000 + b"}", [], id="integer-5001-digits"),
     ],
 )
 @pytest.mark.parametrize("command", ["collapse", "uncollapse", "qpt"])
 def test_malformed_values_exit_2_with_one_error_line(tmp_path, capsys, command, overrides, flags):
-    cfg = _write_config(tmp_path, **overrides)
-    argv = [command, "--config", cfg, "--out", str(tmp_path / "x.csv"), *flags]
+    if isinstance(overrides, bytes):
+        cfg = tmp_path / "raw.json"
+        cfg.write_bytes(overrides)
+    else:
+        cfg = _write_config(tmp_path, **overrides)
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "x.csv"), *flags]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -245,19 +270,42 @@ _VALUES = st.one_of(
     st.dictionaries(st.sampled_from(["t1_ns", "visibility", "prepare", "x"]), _JSON_SCALARS,
                     max_size=2),
 )
+_NON_NUMBERS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.sampled_from(["0.5", "1e999", "nan"]),
+    st.lists(_JSON_SCALARS, max_size=2),
+    st.dictionaries(st.text(max_size=3), _JSON_SCALARS, max_size=2),
+)
 _TOP_KEYS = ["theta0_rad", "phi0_rad", "p_grid", "pi_fraction", "phi_m_rate_rad", "decoherence",
              "use_echo_t2", "p_error_fraction", "mode", "seed", "chi_p", "device", "timing_ns",
              "warp"]
-_NESTED = {
-    "device": ["t1_ns", "t2_echo_ns", "t2_ramsey_ns", "visibility", "e10_ghz"],
+_FIELDS = {
+    "device": ["t1_ns", "t2_echo_ns", "t2_ramsey_ns", "visibility"],
     "timing_ns": ["prepare", "measure", "idle", "pi_pulse", "tomography"],
 }
+_NESTED = dict(_FIELDS, device=[*_FIELDS["device"], "e10_ghz"])
+_STRENGTH_LISTS = ["p_grid", "chi_p"]
+_NUMBER_KEYS = ["theta0_rad", "phi0_rad", "pi_fraction", "phi_m_rate_rad", "p_error_fraction",
+                "seed", "shots", *_STRENGTH_LISTS, *_FIELDS]
 
 
 @st.composite
 def _malformed_configs(draw):
     config = dict(_SMALL_RUN, mode=draw(st.sampled_from(["exact", "mc"])))
-    for key in draw(st.lists(st.sampled_from(_TOP_KEYS), min_size=1, max_size=3, unique=True)):
+    if draw(st.booleans()):
+        # one string, bool, null, list or object where a number belongs, in a
+        # config that runs without it
+        key, junk = draw(st.sampled_from(_NUMBER_KEYS)), draw(_NON_NUMBERS)
+        if key in _FIELDS:
+            config[key] = {draw(st.sampled_from(_FIELDS[key])): junk}
+        elif key in _STRENGTH_LISTS:
+            config[key] = draw(st.permutations([0.1, junk]))
+        else:
+            config[key] = junk
+        return config
+    for key in draw(st.lists(st.sampled_from(_TOP_KEYS), max_size=3, unique=True)):
         if key in _NESTED and draw(st.booleans()):
             fields = st.sampled_from(_NESTED[key])
             config[key] = draw(st.dictionaries(fields, _VALUES, min_size=1, max_size=2))
@@ -267,7 +315,27 @@ def _malformed_configs(draw):
     return config
 
 
-@settings(max_examples=60, deadline=None, database=None, derandomize=True,
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _holds_a_non_number(config):
+    """True when a slot that takes a number holds anything else."""
+    for key, value in config.items():
+        if key in _FIELDS and isinstance(value, dict):
+            slots = list(value.values())
+        elif key in _STRENGTH_LISTS and isinstance(value, list):
+            slots = value
+        elif key in _NUMBER_KEYS:
+            slots = [value]
+        else:
+            continue
+        if not all(map(_is_number, slots)):
+            return True
+    return False
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(command=st.sampled_from(["collapse", "uncollapse", "qpt"]), config=_malformed_configs())
 def test_malformed_configs_never_raise_a_traceback(command, config):
@@ -279,6 +347,8 @@ def test_malformed_configs_never_raise_a_traceback(command, config):
             code = main([command, "--config", str(path), "--out", str(Path(tmp) / "x.csv")])
         written = (Path(tmp) / "x.csv").read_text() if code == 0 else ""
     assert code in (0, 2, 3)
+    if _holds_a_non_number(config):
+        assert code == 2
     assert "nan" not in written and "inf" not in written
     text = err.getvalue()
     assert "Traceback" not in text
