@@ -174,7 +174,7 @@ class RotationPulse:
     vectors right-handedly about the axis.
     """
 
-    axis: np.ndarray
+    axis: tuple
     angle: float
     duration_ns: float = 0.0
 
@@ -186,14 +186,13 @@ class RotationPulse:
             raise DomainError("rotation axis must have unit length")
         if self.duration_ns < 0.0:
             raise DomainError("pulse duration must be nonnegative")
-        axis.setflags(write=False)
-        object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "axis", tuple(axis.tolist()))
         object.__setattr__(self, "angle", float(self.angle))
         object.__setattr__(self, "duration_ns", float(self.duration_ns))
 
     @classmethod
     def about_x(cls, angle: float, duration_ns: float = 0.0) -> "RotationPulse":
-        return cls(np.array([1.0, 0.0, 0.0]), angle, duration_ns)
+        return cls((1.0, 0.0, 0.0), angle, duration_ns)
 
     def unitary(self) -> np.ndarray:
         half = self.angle / 2.0
@@ -203,13 +202,12 @@ class RotationPulse:
         )
 
     def transfer(self) -> TransferOp:
-        # keyed by value: the axis array makes the pulse itself unhashable
-        return _rotation_transfer(tuple(self.axis.tolist()), self.angle)
+        return _rotation_transfer(self.axis, self.angle)
 
 
 @functools.lru_cache(maxsize=64)
 def _rotation_transfer(axis: tuple, angle: float) -> TransferOp:
-    return TransferOp(transfer_matrix([RotationPulse(np.array(axis), angle).unitary()]))
+    return TransferOp(transfer_matrix([RotationPulse(axis, angle).unitary()]))
 
 
 # tomography setting -> (axis, angle) of its analysis pulse

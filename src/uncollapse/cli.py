@@ -24,7 +24,7 @@ import numpy as np
 from .errors import SimulationError
 from .montecarlo import estimate_probabilities
 from .protocol import ExperimentConfig, PulseTiming
-from .qpt import exact_uncollapse_chi, montecarlo_uncollapse_chi, process_fidelity
+from .qpt import PAULI_LABELS, exact_uncollapse_chi, montecarlo_uncollapse_chi, process_fidelity
 from .qubit import DeviceParams, PureState, default_device
 from .tomography import bloch_reconstruct, exact_tomography_record, polar_azimuth
 
@@ -136,13 +136,24 @@ def load_config(path: str | None) -> dict:
     return raw
 
 
+def _number(text: str):
+    """The int or float a number flag spells, else its text for _typed to reject."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
 def assemble(raw: dict, args: argparse.Namespace) -> tuple[SweepSpec, ExperimentConfig]:
     """Merge the config and the flag overrides over the defaults, check them
     against ``DEFAULT_CONFIG`` and build the run inputs."""
     raw = dict(raw)
     for key in ("mode", "shots", "seed", "pi_fraction"):
-        if getattr(args, key) is not None:
-            raw[key] = getattr(args, key)
+        value = getattr(args, key)
+        if value is not None:
+            raw[key] = value if key == "mode" else _number(value)
     if args.no_decoherence:
         raw["decoherence"] = False
     config = _typed(DEFAULT_CONFIG, raw, "")
@@ -233,7 +244,7 @@ def cmd_qpt(sweep: SweepSpec, base: ExperimentConfig, out: str) -> None:
         chi = chi_at(p, len(sweep.p_grid) + extra_index)
         payload = {
             "p": float(_fmt(p)),
-            "basis": ["I", "X", "Y", "Z"],
+            "basis": list(PAULI_LABELS),
             "chi_real": [[float(_fmt(v)) for v in row] for row in chi.matrix.real],
             "chi_imag": [[float(_fmt(v)) for v in row] for row in chi.matrix.imag],
             "fidelity": float(_fmt(process_fidelity(chi))),
@@ -256,9 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", help="JSON config path (defaults apply when omitted)")
         cmd.add_argument("--out", required=True, help="output CSV path")
         cmd.add_argument("--mode", choices=["exact", "mc"], help="override config mode")
-        cmd.add_argument("--shots", type=int, help="override shots per setting")
-        cmd.add_argument("--seed", type=int, help="override master seed")
-        cmd.add_argument("--pi-fraction", type=float, dest="pi_fraction",
+        cmd.add_argument("--shots", help="override shots per setting")
+        cmd.add_argument("--seed", help="override master seed")
+        cmd.add_argument("--pi-fraction", dest="pi_fraction",
                          help="override recovery pulse fraction")
         cmd.add_argument("--no-decoherence", action="store_true",
                          help="force decoherence off regardless of config")

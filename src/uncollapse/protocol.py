@@ -41,7 +41,6 @@ from .channels import (  # noqa: F401
     apply_partial_tunnel,
     apply_rotation,
     decoherence_ops,
-    tomography_rotation,
 )
 from .errors import DomainError, StructuralError, UndefinedStateError
 from .qubit import (
@@ -58,10 +57,9 @@ PREPARE = "prepare"
 ROTATE = "rotate"
 PARTIAL_MEASURE = "partial_measure"
 IDLE = "idle"
-TOMOGRAPHY_ROTATE = "tomography_rotate"
 FULL_MEASURE = "full_measure"
 
-STEP_KINDS = (PREPARE, ROTATE, PARTIAL_MEASURE, IDLE, TOMOGRAPHY_ROTATE, FULL_MEASURE)
+STEP_KINDS = (PREPARE, ROTATE, PARTIAL_MEASURE, IDLE, FULL_MEASURE)
 
 _OVERLAP_TOL = 1e-9
 
@@ -74,9 +72,8 @@ class SequenceStep:
     """One entry of a pulse sequence.
 
     ``payload`` depends on the kind: a PureState for prepare, a
-    RotationPulse for rotate, a PartialMeasurement for partial_measure, a
-    setting name ("x", "y", "z") for tomography_rotate, and None for idle
-    and full_measure.
+    RotationPulse for rotate, a PartialMeasurement for partial_measure, and
+    None for idle and full_measure.
     """
 
     kind: str
@@ -115,9 +112,6 @@ class PulseSequence:
     @property
     def total_duration_ns(self) -> float:
         return self.steps[-1].end_ns if self.steps else 0.0
-
-    def extended(self, *extra: SequenceStep) -> "PulseSequence":
-        return PulseSequence(self.steps + tuple(extra))
 
 
 @dataclass(frozen=True)
@@ -178,8 +172,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise DomainError(f"measurement strength must lie in [0, 1], got {self.p}")
-        if self.pi_fraction < 0.0:
-            raise DomainError("pi_fraction must be nonnegative")
+        if not 0.0 <= self.pi_fraction * math.pi < math.inf:
+            raise DomainError("pi_fraction must be nonnegative and give a finite recovery angle")
         if not math.isfinite(self.p_error_fraction) or self.p_error_fraction <= -1.0:
             raise DomainError("p_error_fraction must be a finite value above -1")
 
@@ -280,8 +274,6 @@ def compile_sequence(seq: PulseSequence, cfg: ExperimentConfig) -> tuple:
             ops.append(_prepare_op(step.payload))
         elif step.kind in (PARTIAL_MEASURE, ROTATE):
             ops.append(step.payload.transfer())
-        elif step.kind == TOMOGRAPHY_ROTATE:
-            ops.append(tomography_rotation(step.payload, step.duration_ns).transfer())
         elif step.kind == FULL_MEASURE:
             if index != len(seq.steps) - 1:
                 raise StructuralError("full_measure must be the final step")

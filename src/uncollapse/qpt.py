@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import SingularInversionError, StructuralError
 from .montecarlo import estimate_probabilities
-from .qubit import PAULI_BASIS, PureState, operators_from_pauli, state_from_angles
+from .qubit import PAULI_BASIS, ROUNDOFF_TOL, PureState, operators_from_pauli, state_from_angles
 from .protocol import ExperimentConfig
 # exact_tomography_record is not called here; it stays importable from this
 # module, where perfbench/tracer.py looks the per-probe record up
@@ -54,16 +54,7 @@ class ProbeSet:
     def __post_init__(self):
         if len(self.inputs) != 4 or len(self.outputs) != 4:
             raise StructuralError("process tomography needs exactly four probes")
-        _check_independent(tuple(self.inputs))
-
-
-@functools.lru_cache(maxsize=16)
-def _check_independent(inputs: tuple) -> None:
-    # tr(rho_a rho_b) = r_a . r_b / 2
-    paulis = np.array([state_from_angles(s).pauli for s in inputs])
-    gram = paulis @ paulis.T / 2.0
-    if abs(np.linalg.det(gram)) < _GRAM_FLOOR:
-        raise SingularInversionError("probe states are not linearly independent")
+        _design_matrix(tuple(self.inputs))
 
 
 @dataclass(frozen=True)
@@ -108,6 +99,9 @@ def _design_matrix(inputs: tuple) -> np.ndarray:
     """The 16x16 map from chi onto the probe outputs of ``inputs``: row
     (i, a, d), column (m, n) is entry (a, d) of sigma_m rho_i sigma_n."""
     rhos = [state_from_angles(probe).rho for probe in inputs]
+    # Gram matrix tr(rho_a rho_b) of the probes
+    if abs(np.linalg.det(np.einsum("aij,bji->ab", rhos, rhos).real)) < _GRAM_FLOOR:
+        raise SingularInversionError("probe states are not linearly independent")
     a = np.einsum("mab,ibc,ncd->iadmn", PAULI_BASIS, rhos, PAULI_BASIS).reshape(16, 16)
     if np.linalg.cond(a) > 1e12:
         raise SingularInversionError("probe design matrix is numerically singular")
@@ -132,7 +126,7 @@ def process_fidelity(chi: ChiMatrix) -> float:
     return float(chi.matrix[1, 1].real)
 
 
-def cp_diagnostics(chi: ChiMatrix, tol: float = 1e-9) -> CpReport:
+def cp_diagnostics(chi: ChiMatrix) -> CpReport:
     """Eigenvalue and hermiticity report; flags (but keeps) non-CP results."""
     herm = chi.hermiticity_residual()
     eigs = np.linalg.eigvalsh((chi.matrix + chi.matrix.conj().T) / 2.0)
@@ -141,7 +135,7 @@ def cp_diagnostics(chi: ChiMatrix, tol: float = 1e-9) -> CpReport:
         min_eigenvalue=float(eigs[0]),
         hermiticity_residual=herm,
         trace_deviation=float(abs(chi.trace - 1.0)),
-        is_cp=bool(eigs[0] >= -tol and herm <= tol),
+        is_cp=bool(eigs[0] >= -ROUNDOFF_TOL and herm <= ROUNDOFF_TOL),
     )
 
 

@@ -94,11 +94,11 @@ class BlochVector:
     def norm(self) -> float:
         return float(np.sqrt(self.x**2 + self.y**2 + self.z**2))
 
-    def validate(self, tol: float = ROUNDOFF_TOL) -> "BlochVector":
+    def validate(self) -> "BlochVector":
         for name, value in (("x", self.x), ("y", self.y), ("z", self.z)):
-            if not -1.0 - tol <= value <= 1.0 + tol:
+            if not -1.0 - ROUNDOFF_TOL <= value <= 1.0 + ROUNDOFF_TOL:
                 raise DomainError(f"Bloch component {name}={value} outside [-1, 1]")
-        if self.x**2 + self.y**2 + self.z**2 > 1.0 + tol:
+        if self.x**2 + self.y**2 + self.z**2 > 1.0 + ROUNDOFF_TOL:
             raise DomainError(f"Bloch vector of squared length {self.norm**2} leaves the unit ball")
         return self
 
@@ -120,9 +120,7 @@ def pauli_vectors(rho: np.ndarray) -> np.ndarray:
     return np.array([diag_sum, 2.0 * coherence.real, -2.0 * coherence.imag, diag_diff]).T
 
 
-def validate_states(
-    rho: np.ndarray, escaped: np.ndarray, require_total: bool = True, atol: float = EXACT_TOL
-) -> None:
+def validate_states(rho: np.ndarray, escaped: np.ndarray, require_total: bool = True) -> None:
     """Check a (k, 2, 2) stack of conditional operators and their (k,)
     escaped probabilities: hermiticity, positivity, and probability
     bookkeeping.
@@ -134,25 +132,25 @@ def validate_states(
     fails one names the error.
     """
     adjoint = rho.conj().swapaxes(-1, -2)
-    if (abs(rho - adjoint).reshape(-1, 4).max(axis=1) > atol).any():
+    if (abs(rho - adjoint).reshape(-1, 4).max(axis=1) > EXACT_TOL).any():
         raise DomainError("density operator is not Hermitian")
     for eig in np.linalg.eigvalsh((rho + adjoint) / 2.0)[:, 0].tolist():
-        if eig < -atol:
+        if eig < -EXACT_TOL:
             raise DomainError(f"density operator has negative eigenvalue {eig}")
     traces = rho.trace(axis1=-2, axis2=-1).real.tolist()
     for tr in traces:
-        if not -atol <= tr <= 1.0 + atol:
+        if not -EXACT_TOL <= tr <= 1.0 + EXACT_TOL:
             raise DomainError(f"conditional trace {tr} outside [0, 1]")
     escaped = np.asarray(escaped).tolist()
     for esc in escaped:
-        if not -atol <= esc <= 1.0 + atol:
+        if not -EXACT_TOL <= esc <= 1.0 + EXACT_TOL:
             raise DomainError(f"escaped probability {esc} outside [0, 1]")
     totals = [tr + esc for tr, esc in zip(traces, escaped)]
     for total in totals:
-        if total > 1.0 + atol:
+        if total > 1.0 + EXACT_TOL:
             raise DomainError(f"trace + escaped = {total} exceeds 1")
     for total in totals if require_total else ():
-        if total < 1.0 - atol:
+        if total < 1.0 - EXACT_TOL:
             raise DomainError(f"trace + escaped = {total} does not close to 1")
 
 
@@ -200,10 +198,10 @@ class QubitState:
             raise UndefinedStateError("cannot normalize a vanished conditional state")
         return QubitState(self.rho / tr, 0.0)
 
-    def validate(self, require_total: bool = True, atol: float = EXACT_TOL) -> "QubitState":
+    def validate(self, require_total: bool = True) -> "QubitState":
         """Check hermiticity, positivity, and probability bookkeeping: the
         one-member case of :func:`validate_states`."""
-        validate_states(self.rho[None], np.array([self.escaped]), require_total, atol)
+        validate_states(self.rho[None], np.array([self.escaped]), require_total)
         return self
 
 

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .protocol import (
     FULL_MEASURE,
-    TOMOGRAPHY_ROTATE,
+    ROTATE,
     ExperimentConfig,
     PulseSequence,
     PulseTiming,
@@ -192,13 +192,9 @@ def with_tomography(seq: PulseSequence, setting: str, timing: PulseTiming) -> Pu
     The z setting keeps the pulse window (with no rotation) so that all
     three settings share a common readout instant.
     """
-    if setting not in TOMO_SETTINGS:
-        raise DomainError(f"unknown tomography setting {setting!r}")
-    start = seq.total_duration_ns
-    return seq.extended(
-        SequenceStep(TOMOGRAPHY_ROTATE, start, timing.tomography_ns, setting),
-        SequenceStep(FULL_MEASURE, start + timing.tomography_ns, 0.0),
-    )
+    start, window = seq.total_duration_ns, timing.tomography_ns
+    analysis = SequenceStep(ROTATE, start, window, tomography_rotation(setting, window))
+    return PulseSequence(seq.steps + (analysis, SequenceStep(FULL_MEASURE, start + window, 0.0)))
 
 
 def _analysis_decoherence(cfg: ExperimentConfig) -> DecoherenceStep | None:

@@ -236,6 +236,12 @@ def test_bad_configs_exit_2(tmp_path):
         pytest.param(b'{"theta0_rad": "\xff"}', [], id="not-utf8"),
         pytest.param(b"[" * 200_000 + b"]" * 200_000, [], id="nested-200000-deep"),
         pytest.param(b'{"seed": 1' + b"0" * 5000 + b"}", [], id="integer-5001-digits"),
+        # a finite fraction whose recovery angle overflows
+        ({"pi_fraction": 1e308}, []),
+        ({}, ["--pi-fraction", "1e308"]),
+        # flag text that is no number, or not an integer
+        ({}, ["--shots", "abc"]),
+        ({}, ["--seed", "1.5"]),
     ],
 )
 @pytest.mark.parametrize("command", ["collapse", "uncollapse", "qpt"])
@@ -366,6 +372,18 @@ def test_seeds_at_the_range_limits_and_integral_floats_run(tmp_path):
     run("lowest", seed=0, shots=50)
     run("highest", seed=2**128 - 1, shots=50)
     assert run("floats", seed=7.0, shots=50.0) == run("ints", seed=7, shots=50)
+
+
+def test_number_flags_are_read_as_numbers_and_checked_like_the_file(tmp_path):
+    cfg = _write_config(tmp_path, "grid.json", p_grid=[0.3], mode="mc")
+    flag_out, file_out = tmp_path / "flag.csv", tmp_path / "file.csv"
+    assert main(["uncollapse", "--config", cfg, "--out", str(flag_out), "--shots", "7.0"]) == 0
+    shots = _write_config(tmp_path, "shots.json", p_grid=[0.3], mode="mc", shots=7.0)
+    assert main(["uncollapse", "--config", shots, "--out", str(file_out)]) == 0
+    assert flag_out.read_bytes() == file_out.read_bytes()
+    for flags in (["--pi-fraction", ".5"], ["--seed", str(2**128 - 1), "--shots", "5"],
+                  ["--pi-fraction", "1e300"]):
+        assert main(["uncollapse", "--config", cfg, "--out", str(tmp_path / "x.csv"), *flags]) == 0
 
 
 def _qpt_mc_streams(tmp_path, monkeypatch, seed):

@@ -1,0 +1,89 @@
+"""Lint checks that need no linter: unused imports and unread constants.
+
+Both walk the syntax trees with ``ast``.  A name counts as read where it is
+loaded (``name``) or looked up as an attribute (``module.name``); binding it
+by an import or an assignment does not count.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "uncollapse"
+
+# Imported but not read: these names stay importable from the module, where
+# perfbench/tracer.py looks up the wrappers it times.
+TRACER_IMPORTS = {
+    ("protocol", "apply_decoherence"),
+    ("protocol", "apply_partial_tunnel"),
+    ("protocol", "apply_rotation"),
+    ("tomography", "apply_decoherence"),
+    ("tomography", "apply_rotation"),
+    ("qpt", "exact_tomography_record"),
+}
+
+_CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _reads(tree: ast.AST) -> set:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _imported(tree: ast.Module) -> set:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+def _constants(tree: ast.Module) -> set:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        names.update(t.id for t in targets if isinstance(t, ast.Name) and _CONSTANT.fullmatch(t.id))
+    return names
+
+
+def test_every_import_in_the_package_is_read():
+    unused = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue  # its imports are the package's exports
+        tree = _tree(path)
+        unused.update((path.stem, name) for name in _imported(tree) - _reads(tree))
+    # an entry that is read again, or no longer imported, leaves the list
+    assert unused == TRACER_IMPORTS
+
+
+def test_every_module_constant_is_read_somewhere():
+    sources = [path for folder in ("src", "tests", "perfbench") for path in (ROOT / folder).rglob("*.py")]
+    reads = set().union(*(_reads(_tree(path)) for path in sources))
+    unread = {
+        (path.stem, name) for path in PACKAGE.glob("*.py") for name in _constants(_tree(path)) - reads
+    }
+    assert not unread
+
+
+def test_the_checks_see_an_unused_import_and_an_unread_constant():
+    tree = ast.parse("import os\nfrom math import pi, tau\nLIMIT = 3\n_USED = 2\nprint(tau * _USED)\n")
+    assert _imported(tree) - _reads(tree) == {"os", "pi"}
+    assert _constants(tree) - _reads(tree) == {"LIMIT"}

@@ -307,3 +307,18 @@ def test_ramsey_dephasing_switch_degrades_faster():
     f_echo = state_fidelity(run_exact(build_uncollapse(echo), echo).conditional, target)
     f_ramsey = state_fidelity(run_exact(build_uncollapse(ramsey), ramsey).conditional, target)
     assert f_ramsey < f_echo
+
+
+def test_pulses_steps_and_sequences_are_hashable_values():
+    assert RotationPulse.about_x(np.pi) == RotationPulse(np.array([1.0, 0.0, 0.0]), np.pi)
+    assert hash(RotationPulse.about_x(np.pi)) == hash(RotationPulse((1, 0, 0), np.pi))
+    assert RotationPulse.about_x(np.pi, 10.0) != RotationPulse.about_x(np.pi)
+    cfg = _cfg(p=0.4)
+    first = with_tomography(build_uncollapse(cfg), "y", cfg.timing)
+    second = with_tomography(build_uncollapse(cfg), "y", cfg.timing)
+    assert first == second and hash(first) == hash(second)
+    assert with_tomography(build_uncollapse(cfg), "x", cfg.timing) != first
+    # the analysis pulse is one more rotate step before the readout
+    assert [step.kind for step in first.steps[-2:]] == [ROTATE, FULL_MEASURE]
+    with pytest.raises(DomainError, match="unknown tomography setting 'w'"):
+        with_tomography(build_uncollapse(cfg), "w", cfg.timing)
