@@ -72,6 +72,22 @@ CASES = {
             "out_chi_p0.47.json": "49c5add172e5913d7d6ce8e7b9edec40c31fbd41a4e9fcbf6fc445f7b4c549f0",
         },
     ),
+    "collapse_exact_decohered": (
+        ["collapse"],
+        DECOHERED,
+        {
+            "out.csv": "59a031aff1c84864815baac80222ec14fe167148f520421ff6d9a5b2fff29452",
+        },
+    ),
+    # a short recovery pulse and a steep phase, so the measurement phase and
+    # the rotation angle both reach the printed numbers
+    "uncollapse_exact_short_pulse": (
+        ["uncollapse"],
+        {"pi_fraction": 0.9, "phi_m_rate_rad": 7.0, "theta0_rad": 2.8},
+        {
+            "out.csv": "a39499051cb6bdd45af9199c0b8a133fda5480a63314a2c476a57f6451a33d42",
+        },
+    ),
 }
 
 
