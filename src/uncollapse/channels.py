@@ -92,9 +92,14 @@ def apply_kraus(q: QubitState, kraus: KrausSet) -> QubitState:
 
 
 def transfer_matrix(operators) -> np.ndarray:
-    """Pauli transfer matrix R[i, j] = tr(s_i E(s_j)) / 2 of E(rho) = sum_k K rho K'."""
+    """Pauli transfer matrix R[i, j] = tr(s_i E(s_j)) / 2 of E(rho) = sum_k K rho K'.
+
+    ``operators`` is (k, 2, 2), or (..., k, 2, 2) for a stack of channels,
+    which gives a (..., 4, 4) stack of maps.
+    """
     ops = np.asarray(operators, dtype=complex)
-    superop = np.einsum("kac,kbd->abcd", ops, ops.conj()).reshape(4, 4)
+    superop = np.einsum("...kac,...kbd->...abcd", ops, ops.conj())
+    superop = superop.reshape(superop.shape[:-4] + (4, 4))
     return 0.5 * (_PAULI_VEC.conj().T @ superop @ _PAULI_VEC).real
 
 
@@ -146,8 +151,7 @@ class PartialMeasurement:
         object.__setattr__(self, "phi_m", float(self.phi_m))
 
     def kraus(self) -> KrausSet:
-        null = np.diag([1.0, np.sqrt(1.0 - self.p) * np.exp(-1.0j * self.phi_m)])
-        tunnel = np.diag([0.0, np.sqrt(self.p)])
+        null, tunnel = _measurement_kraus(np.array([self.p]), np.array([self.phi_m]))[0]
         return KrausSet((null, tunnel), ("null", "tunnel"))
 
     def transfer(self, effect: str = ESCAPE) -> TransferOp:
@@ -162,8 +166,27 @@ class PartialMeasurement:
 # earlier points are dead and a small LRU keeps the few live ones.
 @functools.lru_cache(maxsize=16)
 def _measurement_transfer(m: PartialMeasurement, effect: str) -> TransferOp:
-    null, tunnel = m.kraus().operators
-    return TransferOp(transfer_matrix([null]), transfer_matrix([tunnel]), effect)
+    no_event, event = measurement_maps(np.array([m.p]), np.array([m.phi_m]))
+    return TransferOp(no_event[0], event[0], effect)
+
+
+def _measurement_kraus(p: np.ndarray, phi_m: np.ndarray) -> np.ndarray:
+    """(n, 2, 2, 2) null and tunnel operators of n measurements, from their
+    strengths (already in [0, 1]) and phases."""
+    kraus = np.zeros((len(p), 2, 2, 2), dtype=complex)
+    kraus[:, 0, 0, 0] = 1.0
+    kraus[:, 0, 1, 1] = np.sqrt(1.0 - p) * np.exp(-1.0j * phi_m)
+    kraus[:, 1, 1, 1] = np.sqrt(p)
+    return kraus
+
+
+def measurement_maps(p: np.ndarray, phi_m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, 4, 4) null maps A0 and detection maps A1 of n measurements
+    with strengths ``p`` (already in [0, 1]) and phases ``phi_m``, from one
+    batched :func:`transfer_matrix` each; member i equals the map of
+    ``PartialMeasurement(p[i], phi_m[i])``."""
+    kraus = _measurement_kraus(p, phi_m)
+    return transfer_matrix(kraus[:, :1]), transfer_matrix(kraus[:, 1:])
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ Three subcommands share one JSON config format:
 
 All numeric output is serialized with 12 significant digits and LF line
 endings, so identical configs and seeds produce byte-identical files.
-Exit codes: 2 for a bad config, 3 for a numeric failure during the run.
+Exit codes: 2 for a bad config or an output that cannot be written, 3 for a
+numeric failure during the run.
 """
 
 import argparse
@@ -26,7 +27,14 @@ from .montecarlo import estimate_probabilities
 from .protocol import ExperimentConfig, PulseTiming
 from .qpt import PAULI_LABELS, exact_uncollapse_chi, montecarlo_uncollapse_chi, process_fidelity
 from .qubit import DeviceParams, PureState, default_device
-from .tomography import bloch_reconstruct, exact_tomography_record, polar_azimuth
+# exact_tomography_record is not called here; it stays importable from this
+# module, where perfbench/tracer.py looks the per-point record up
+from .tomography import (  # noqa: F401
+    bloch_reconstruct,
+    exact_tomography_record,
+    exact_tomography_sweep,
+    polar_azimuth,
+)
 
 COLLAPSE_HEADER = ["p", "P_X", "P_Y", "P_Z", "P_B", "X", "Y", "Z", "theta"]
 UNCOLLAPSE_HEADER = COLLAPSE_HEADER + ["p_success"]
@@ -194,20 +202,23 @@ def _write_rows(path: str, header: list, rows: list) -> None:
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
-def _sweep_rows(sweep: SweepSpec, base: ExperimentConfig, kind: str) -> list:
-    rows = []
+def _sampled(sweep: SweepSpec, base: ExperimentConfig, kind: str):
+    """(record, success probability) per grid point, sampled as it is read."""
     for row_index, p in enumerate(sweep.p_grid):
-        cfg = base.at_strength(p)
-        if sweep.mode == "exact":
-            record, outcome = exact_tomography_record(cfg, kind)
-            p_success = outcome.p_success
-        else:
-            estimate = estimate_probabilities(
-                cfg, sweep.shots, sweep.seed, kind=kind, stream_base=3 * row_index
-            )
-            record = estimate.record
-            p_success = 1.0 - record.p_b
-        vec = bloch_reconstruct(record, cfg.device.visibility)
+        record = estimate_probabilities(
+            base.at_strength(p), sweep.shots, sweep.seed, kind=kind, stream_base=3 * row_index
+        ).record
+        yield record, 1.0 - record.p_b
+
+
+def _sweep_rows(sweep: SweepSpec, base: ExperimentConfig, kind: str) -> list:
+    if sweep.mode == "exact":
+        measured = zip(*exact_tomography_sweep(base, sweep.p_grid, kind))
+    else:
+        measured = _sampled(sweep, base, kind)
+    rows = []
+    for p, (record, p_success) in zip(sweep.p_grid, measured):
+        vec = bloch_reconstruct(record, base.device.visibility)
         theta, _ = polar_azimuth(vec)
         row = [p, record.p_x, record.p_y, record.p_z, record.p_b, vec.x, vec.y, vec.z, theta]
         if kind == "uncollapse":
@@ -290,6 +301,9 @@ def main(argv=None) -> int:
     except (SimulationError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

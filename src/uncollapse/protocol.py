@@ -14,12 +14,12 @@ Two sequences are built here:
 operations that both engines run; it is the one place that reads step
 kinds.  Within a step the instantaneous operation acts first and
 decoherence then runs for the step's duration.  Exact execution folds the
-in-well maps onto a stack of prepared states, so several inputs of one
-sequence (the process-tomography probes) share one compiled program and one
-fold: the null branch of each measurement drops the detected weight from
-the trace, so after the last step the trace is the success probability and
-``escaped`` = 1 - trace is the background probability of a pre-analysis
-detection.
+in-well maps onto a stack, so several inputs of one sequence (the
+process-tomography probes) or several strengths of a sweep
+(:func:`fold_sweep`) share one compiled program and one fold: the null
+branch of each measurement drops the detected weight from the trace, so
+after the last step the trace is the success probability and ``escaped`` =
+1 - trace is the background probability of a pre-analysis detection.
 """
 
 import functools
@@ -33,6 +33,7 @@ import numpy as np
 # perfbench/tracer.py looks the per-operation wrappers up
 from .channels import (  # noqa: F401
     CLICK,
+    ESCAPE,
     DecoherenceStep,
     PartialMeasurement,
     RotationPulse,
@@ -41,6 +42,7 @@ from .channels import (  # noqa: F401
     apply_partial_tunnel,
     apply_rotation,
     decoherence_ops,
+    measurement_maps,
 )
 from .errors import DomainError, StructuralError, UndefinedStateError
 from .qubit import (
@@ -179,13 +181,21 @@ class ExperimentConfig:
 
     def effective_p(self) -> float:
         """Strength the pulses actually realize, after calibration bias."""
-        return min(self.p * (1.0 + self.p_error_fraction), 1.0)
+        return float(self.grid_measurements([self.p])[0][0])
 
     def measurement_phase(self) -> float:
-        p_real = self.effective_p()
+        return float(self.grid_measurements([self.p])[1][0])
+
+    def grid_measurements(self, p_grid) -> tuple[np.ndarray, np.ndarray]:
+        """The strengths the pulses realize and the measurement phases of
+        ``self.at_strength(p)`` for every p of ``p_grid``."""
+        for p in p_grid:
+            if not 0.0 <= p <= 1.0:
+                raise DomainError(f"measurement strength must lie in [0, 1], got {p}")
+        p_real = np.minimum(np.array(p_grid, dtype=float) * (1.0 + self.p_error_fraction), 1.0)
         if self.phi_m_model is not None:
-            return float(self.phi_m_model(p_real))
-        return self.phi_m_rate * p_real
+            return p_real, np.array([float(self.phi_m_model(x)) for x in p_real.tolist()])
+        return p_real, self.phi_m_rate * p_real
 
     def decoherence_for(self, duration_ns: float) -> DecoherenceStep:
         return DecoherenceStep.for_device(self.device, duration_ns, echo=self.use_echo_t2)
@@ -308,6 +318,38 @@ def fold_exact(
         acc = np.stack([_prepare_op(initial).in_well for initial in initials])
     for op in ops[1:]:
         acc = op.in_well @ acc
+    return _close(acc)
+
+
+def fold_sweep(seq: PulseSequence, cfg: ExperimentConfig, p_grid) -> tuple[np.ndarray, np.ndarray]:
+    """Evolve one state through a sequence at every strength of ``p_grid``
+    exactly, in one fold.
+
+    Member i equals :func:`fold_exact` of the sequence built at
+    ``cfg.at_strength(p_grid[i])``.  The sequence, built at ``cfg``, compiles
+    once; its partial measurements, which must all be ``cfg``'s own, fold as
+    the grid's (n, 4, 4) stack of null maps and every other step as its
+    shared map.  Returns the (n, 2, 2) conditional operators and the (n,)
+    escaped probabilities.
+    """
+    ops = compile_sequence(seq, cfg)
+    own = PartialMeasurement(cfg.effective_p(), cfg.measurement_phase()).transfer()
+    swept = [op.effect == ESCAPE for op in ops]
+    if not any(swept) or any(
+        is_swept and not np.array_equal(op.no_event, own.no_event)
+        for op, is_swept in zip(ops, swept)
+    ):
+        raise StructuralError("a sweep needs partial measurements, all at the config's strength")
+    no_event, _ = measurement_maps(*cfg.grid_measurements(p_grid))
+    acc = ops[0].in_well[None]
+    for op, is_swept in zip(ops[1:], swept[1:]):
+        acc = (no_event if is_swept else op.in_well) @ acc
+    return _close(acc)
+
+
+def _close(acc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Conditional operators and escaped probabilities of the (k, 4, 4)
+    folded maps run from r = (1, 0, 0, 0), validated together."""
     r = acc @ _UNIT_TRACE
     # roundoff can leave the trace an ulp above 1 when nothing escaped
     escaped = np.maximum(1.0 - r[:, 0], 0.0)

@@ -51,6 +51,7 @@ from .protocol import (
     build_sequence,
     build_uncollapse,
     fold_exact,
+    fold_sweep,
     run_exact,
 )
 from .qubit import TRACE_FLOOR, BlochVector, DeviceParams, QubitState, pauli_vectors
@@ -224,3 +225,13 @@ def exact_tomography_records(cfg: ExperimentConfig, initials: tuple) -> list:
     states."""
     rho, escaped = fold_exact(build_uncollapse(cfg), cfg, initials)
     return _forward(pauli_vectors(rho), escaped, cfg.device, _analysis_decoherence(cfg))
+
+
+def exact_tomography_sweep(cfg: ExperimentConfig, p_grid, kind: str = "uncollapse") -> tuple:
+    """The records and success probabilities :func:`exact_tomography_record`
+    gives at ``cfg.at_strength(p)`` for every p of ``p_grid``, from one
+    compiled sequence, one fold and one forward-model pass over the grid.
+    Returns the list of records and the (n,) success probabilities."""
+    rho, escaped = fold_sweep(build_sequence(kind, cfg), cfg, p_grid)
+    records = _forward(pauli_vectors(rho), escaped, cfg.device, _analysis_decoherence(cfg))
+    return records, rho.trace(axis1=-2, axis2=-1).real

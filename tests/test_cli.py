@@ -259,6 +259,34 @@ def test_malformed_values_exit_2_with_one_error_line(tmp_path, capsys, command, 
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("out", ["missing/x.csv", "."])
+@pytest.mark.parametrize("command", ["collapse", "uncollapse", "qpt"])
+def test_unwritable_out_exits_2_with_one_error_line(tmp_path, capsys, command, out):
+    # a path in a directory that does not exist, and a path that is a directory
+    cfg = _write_config(tmp_path, p_grid=[0.2], chi_p=[0.4])
+    assert main([command, "--config", cfg, "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("decoherence", [False, True])
+@pytest.mark.parametrize("command", ["collapse", "uncollapse"])
+def test_exact_sweep_compiles_once_and_checks_positivity_once(tmp_path, monkeypatch, command,
+                                                              decoherence):
+    import uncollapse.protocol as protocol
+
+    eigvalsh_calls, compile_calls = [], []
+    eigvalsh, compile_sequence = np.linalg.eigvalsh, protocol.compile_sequence
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh_calls.append(1) or eigvalsh(a))
+    monkeypatch.setattr(
+        protocol, "compile_sequence", lambda *a: compile_calls.append(1) or compile_sequence(*a)
+    )
+    cfg = _write_config(tmp_path, p_grid=[0.019 * i for i in range(50)], decoherence=decoherence)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 0
+    assert len(eigvalsh_calls) == 1 and len(compile_calls) == 1
+
+
 _SMALL_RUN = {"p_grid": [0.2], "chi_p": [0.4], "shots": 8}
 _JSON_SCALARS = st.one_of(
     st.none(),

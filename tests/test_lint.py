@@ -21,6 +21,7 @@ TRACER_IMPORTS = {
     ("tomography", "apply_decoherence"),
     ("tomography", "apply_rotation"),
     ("qpt", "exact_tomography_record"),
+    ("cli", "exact_tomography_record"),
 }
 
 _CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")

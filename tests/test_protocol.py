@@ -26,7 +26,7 @@ from uncollapse import (
     theory_polar_angle,
 )
 from uncollapse.montecarlo import _draw_count, _run_batch
-from uncollapse.protocol import FULL_MEASURE, IDLE, PARTIAL_MEASURE, PREPARE, ROTATE
+from uncollapse.protocol import FULL_MEASURE, IDLE, PARTIAL_MEASURE, PREPARE, ROTATE, fold_sweep
 from uncollapse.tomography import with_tomography
 
 
@@ -82,6 +82,29 @@ def test_run_exact_structural_errors():
         for seq in MALFORMED_SEQUENCES:
             with pytest.raises(StructuralError):
                 run_exact(seq, cfg)
+
+
+def test_fold_sweep_structural_errors():
+    cfg = _cfg(p=0.3)
+    grid = [0.1, 0.2]
+    for seq in MALFORMED_SEQUENCES:
+        with pytest.raises(StructuralError):
+            fold_sweep(seq, cfg, grid)
+    unmeasured = PulseSequence(
+        (
+            SequenceStep(PREPARE, 0.0, 10.0, PureState(1.0)),
+            SequenceStep(ROTATE, 10.0, 10.0, RotationPulse.about_x(np.pi)),
+        )
+    )
+    # no measurement to sweep, or one the grid cannot stand in for
+    for seq in (unmeasured, build_uncollapse(cfg.at_strength(0.5))):
+        with pytest.raises(StructuralError):
+            fold_sweep(seq, cfg, grid)
+    mixed = build_uncollapse(cfg).steps[:-1] + build_uncollapse(cfg.at_strength(0.5)).steps[-1:]
+    with pytest.raises(StructuralError):
+        fold_sweep(PulseSequence(mixed), cfg, grid)
+    rho, escaped = fold_sweep(build_uncollapse(cfg), cfg, grid)
+    assert rho.shape == (2, 2, 2) and escaped.shape == (2,)
 
 
 def test_run_batch_structural_errors():

@@ -1,5 +1,7 @@
 """Forward detection model, Bloch reconstruction, and angle read-back."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from uncollapse import (
     DomainError,
     ExperimentConfig,
     PartialMeasurement,
+    PulseTiming,
     PureState,
     TomographyRecord,
     UndefinedDirectionError,
@@ -23,6 +26,7 @@ from uncollapse import (
     state_from_bloch,
     tomo_probabilities,
 )
+from uncollapse.tomography import exact_tomography_sweep
 
 
 def test_forward_model_on_basis_states():
@@ -162,3 +166,92 @@ def test_exact_record_ties_to_run_outcome():
     assert abs(outcome.p_success - (1.0 - 0.35)) < 1e-12
     with pytest.raises(DomainError):
         exact_tomography_record(cfg, "diagonal")
+
+
+def _per_point(cfg, p_grid, kind):
+    # the reference: one sequence, one fold and one record per strength
+    pairs = [exact_tomography_record(cfg.at_strength(p), kind) for p in p_grid]
+    return [record for record, _ in pairs], [outcome.p_success for _, outcome in pairs]
+
+
+def _assert_sweep_equals_per_point(cfg, p_grid, kinds=("collapse", "uncollapse")):
+    for kind in kinds:
+        records, p_success = exact_tomography_sweep(cfg, p_grid, kind)
+        assert (records, p_success.tolist()) == _per_point(cfg, p_grid, kind)
+
+
+def test_stacked_sweep_equals_the_per_point_path():
+    # exactly equal, not close: every grid member runs a one-point fold's arithmetic
+    rng = np.random.default_rng(808)
+    for i in range(24):
+        cfg = ExperimentConfig(
+            PureState(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)),
+            p=0.0,
+            decoherence_enabled=bool(i % 2),
+            use_echo_t2=bool(i // 2 % 2),
+            pi_fraction=rng.choice([1.0, rng.uniform(0.8, 1.1)]),
+            device=default_device(rng.choice([1.0, rng.uniform(0.5, 1.0)])),
+            phi_m_rate=rng.uniform(0.0, 20.0),
+            p_error_fraction=rng.choice([0.0, rng.uniform(-0.1, 0.1)]),
+            timing=PulseTiming(idle_ns=rng.uniform(0, 30), tomography_ns=rng.uniform(0, 15)),
+        )
+        # one-point grids too
+        size = 1 if i % 3 == 0 else int(rng.integers(2, 40))
+        _assert_sweep_equals_per_point(cfg, np.sort(rng.uniform(0.0, 0.95, size)).tolist())
+
+
+def test_stacked_sweep_clamps_and_models_the_phase_like_one_point():
+    # a calibration bias that clamps the realized strength to 1 on the last point
+    # (the reversal cannot run there: it empties the well)
+    clamped = ExperimentConfig(PureState(1.3, 0.2), p=0.0, p_error_fraction=0.5)
+    grid = [0.1, 0.5, 0.9]
+    assert clamped.grid_measurements(grid)[0].tolist() == [0.15000000000000002, 0.75, 1.0]
+    _assert_grid_measurements_match(clamped, grid)
+    _assert_sweep_equals_per_point(clamped, grid, kinds=("collapse",))
+    records, _ = exact_tomography_sweep(clamped, grid, "collapse")
+    assert abs(records[-1].p_b - math.sin(0.65) ** 2) < 1e-15
+    # a nonlinear phase model, evaluated at each realized strength
+    for decoherence in (False, True):
+        cfg = ExperimentConfig(
+            PureState(2.0, 1.0),
+            p=0.0,
+            decoherence_enabled=decoherence,
+            p_error_fraction=-0.07,
+            phi_m_model=lambda p: 3.0 * math.sin(5.0 * p) + p**2,
+        )
+        grid = np.linspace(0.0, 0.95, 17).tolist()
+        _assert_grid_measurements_match(cfg, grid)
+        _assert_sweep_equals_per_point(cfg, grid)
+
+
+def _assert_grid_measurements_match(cfg, grid):
+    p_real, phi_m = cfg.grid_measurements(grid)
+    points = [cfg.at_strength(p) for p in grid]
+    assert p_real.tolist() == [c.effective_p() for c in points]
+    assert phi_m.tolist() == [c.measurement_phase() for c in points]
+
+
+def _raised(call):
+    try:
+        call()
+    except Exception as exc:  # the type is what is compared
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "kind, theta0, p_grid",
+    [
+        # the clamped strength 1 empties the well after two measurements
+        ("uncollapse", 1.0, [0.2, 0.9]),
+        # and |1> after one
+        ("collapse", np.pi, [0.3, 0.9]),
+        ("collapse", 1.0, [0.2, 1.5]),
+        ("uncollapse", 1.0, [-0.1, 0.2]),
+    ],
+)
+def test_a_failing_grid_point_raises_what_the_per_point_path_raises(kind, theta0, p_grid):
+    cfg = ExperimentConfig(PureState(theta0, 0.0), p=0.0, p_error_fraction=0.5)
+    expected = _raised(lambda: _per_point(cfg, p_grid, kind))
+    assert expected is not None
+    assert _raised(lambda: exact_tomography_sweep(cfg, p_grid, kind)) is expected
