@@ -15,6 +15,7 @@ from uncollapse.cli import main
 
 MC_GRID = [0.1, 0.47, 0.8]
 DECOHERED = {"decoherence": True, "device": {"visibility": 0.9}, "p_error_fraction": 0.05}
+ZERO_WINDOWS = {"p_grid": MC_GRID, "decoherence": True, "timing_ns": {"idle": 0.0, "tomography": 0.0}}
 
 CASES = {
     "uncollapse_mc": (
@@ -86,6 +87,23 @@ CASES = {
         {"pi_fraction": 0.9, "phi_m_rate_rad": 7.0, "theta0_rad": 2.8},
         {
             "out.csv": "a39499051cb6bdd45af9199c0b8a133fda5480a63314a2c476a57f6451a33d42",
+        },
+    ),
+    # decoherence on with zero-length idle and analysis windows: a step that
+    # takes no time adds no decoherence, in both engines
+    "uncollapse_mc_zero_windows": (
+        ["uncollapse", "--mode", "mc", "--shots", "2000"],
+        ZERO_WINDOWS,
+        {
+            "out.csv": "8c31ee0d606aeed1a2ef212b9b5ba0a3ea01f4813f21379ab6db51704d15ffbf",
+        },
+    ),
+    "qpt_exact_zero_windows": (
+        ["qpt"],
+        ZERO_WINDOWS,
+        {
+            "out.csv": "01a300db5e70d326ea5941d9ac8165170ef8ee8ce3b74f88bd39aff1d99ea7fa",
+            "out_chi_p0.47.json": "2e2d0ee44326b6b9d9ac622b7141f2da2d916d4f19ca2205f55582a373bc08cf",
         },
     ),
 }
