@@ -199,7 +199,6 @@ class RotationPulse:
 
     axis: tuple
     angle: float
-    duration_ns: float = 0.0
 
     def __post_init__(self):
         axis = np.array(self.axis, dtype=float)
@@ -207,15 +206,12 @@ class RotationPulse:
             raise DomainError("rotation axis must be a 3-vector")
         if abs(np.linalg.norm(axis) - 1.0) > 1e-9:
             raise DomainError("rotation axis must have unit length")
-        if self.duration_ns < 0.0:
-            raise DomainError("pulse duration must be nonnegative")
         object.__setattr__(self, "axis", tuple(axis.tolist()))
         object.__setattr__(self, "angle", float(self.angle))
-        object.__setattr__(self, "duration_ns", float(self.duration_ns))
 
     @classmethod
-    def about_x(cls, angle: float, duration_ns: float = 0.0) -> "RotationPulse":
-        return cls((1.0, 0.0, 0.0), angle, duration_ns)
+    def about_x(cls, angle: float) -> "RotationPulse":
+        return cls((1.0, 0.0, 0.0), angle)
 
     def unitary(self) -> np.ndarray:
         half = self.angle / 2.0
@@ -225,12 +221,12 @@ class RotationPulse:
         )
 
     def transfer(self) -> TransferOp:
-        return _rotation_transfer(self.axis, self.angle)
+        return _rotation_transfer(self)
 
 
 @functools.lru_cache(maxsize=64)
-def _rotation_transfer(axis: tuple, angle: float) -> TransferOp:
-    return TransferOp(transfer_matrix([RotationPulse(axis, angle).unitary()]))
+def _rotation_transfer(pulse: RotationPulse) -> TransferOp:
+    return TransferOp(transfer_matrix([pulse.unitary()]))
 
 
 # tomography setting -> (axis, angle) of its analysis pulse
@@ -241,7 +237,7 @@ _ANALYSIS_PULSES = {
 }
 
 
-def tomography_rotation(setting: str, duration_ns: float = 0.0) -> RotationPulse:
+def tomography_rotation(setting: str) -> RotationPulse:
     """Analysis pulse that maps the requested Bloch component onto the
     detected (|1>-population) axis.
 
@@ -253,7 +249,7 @@ def tomography_rotation(setting: str, duration_ns: float = 0.0) -> RotationPulse
     """
     if setting not in _ANALYSIS_PULSES:
         raise DomainError(f"unknown tomography setting {setting!r}")
-    return RotationPulse(*_ANALYSIS_PULSES[setting], duration_ns)
+    return RotationPulse(*_ANALYSIS_PULSES[setting])
 
 
 def pure_dephasing_time(t1_ns: float, t2_ns: float) -> float:
@@ -323,10 +319,12 @@ def dephasing_kraus(lam: float) -> KrausSet:
 
 
 @functools.lru_cache(maxsize=64)
-def decoherence_ops(d: DecoherenceStep) -> tuple[TransferOp, TransferOp]:
+def decoherence_ops(d: DecoherenceStep | None) -> tuple:
     """Amplitude damping (event: a jump to |0>) then dephasing (event: a
     phase flip).  Both stay stochastic at zero rate, so every decohered step
-    costs two draws."""
+    costs two draws; no decoherence (None) has no operations."""
+    if d is None:
+        return ()
     damping = amplitude_damping_kraus(d.gamma).operators
     dephasing = dephasing_kraus(d.lam).operators
     return (

@@ -61,9 +61,14 @@ PARTIAL_MEASURE = "partial_measure"
 IDLE = "idle"
 FULL_MEASURE = "full_measure"
 
-STEP_KINDS = (PREPARE, ROTATE, PARTIAL_MEASURE, IDLE, FULL_MEASURE)
-
-_OVERLAP_TOL = 1e-9
+# step kind -> the type of its payload
+STEP_KINDS = {
+    PREPARE: PureState,
+    ROTATE: RotationPulse,
+    PARTIAL_MEASURE: PartialMeasurement,
+    IDLE: type(None),
+    FULL_MEASURE: type(None),
+}
 
 # r of any unit-trace state; the prepare map sends it to the prepared state
 _UNIT_TRACE = np.array([1.0, 0.0, 0.0, 0.0])
@@ -71,49 +76,40 @@ _UNIT_TRACE = np.array([1.0, 0.0, 0.0, 0.0])
 
 @dataclass(frozen=True)
 class SequenceStep:
-    """One entry of a pulse sequence.
+    """One entry of a pulse sequence: an operation and the time it takes.
 
-    ``payload`` depends on the kind: a PureState for prepare, a
-    RotationPulse for rotate, a PartialMeasurement for partial_measure, and
-    None for idle and full_measure.
+    ``payload`` has the type ``STEP_KINDS`` gives for the kind: a PureState
+    for prepare, a RotationPulse for rotate, a PartialMeasurement for
+    partial_measure, and None for idle and full_measure.
     """
 
     kind: str
-    start_ns: float
     duration_ns: float
     payload: Any = None
 
     def __post_init__(self):
         if self.kind not in STEP_KINDS:
             raise StructuralError(f"unknown step kind {self.kind!r}")
+        if not isinstance(self.payload, STEP_KINDS[self.kind]):
+            raise StructuralError(
+                f"a {self.kind} step cannot carry a {type(self.payload).__name__} payload"
+            )
         if self.duration_ns < 0.0:
             raise StructuralError("step duration must be nonnegative")
-        if self.start_ns < -_OVERLAP_TOL:
-            raise StructuralError("step cannot start before t = 0")
-
-    @property
-    def end_ns(self) -> float:
-        return self.start_ns + self.duration_ns
 
 
 @dataclass(frozen=True)
 class PulseSequence:
-    """Time-ordered, non-overlapping steps."""
+    """Steps that run back to back in order; a wait is an explicit idle step."""
 
     steps: tuple
 
     def __post_init__(self):
-        steps = tuple(self.steps)
-        for before, after in zip(steps, steps[1:]):
-            if after.start_ns < before.end_ns - _OVERLAP_TOL:
-                raise StructuralError(
-                    f"step at {after.start_ns} ns overlaps the one ending at {before.end_ns} ns"
-                )
-        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "steps", tuple(self.steps))
 
     @property
     def total_duration_ns(self) -> float:
-        return self.steps[-1].end_ns if self.steps else 0.0
+        return sum((step.duration_ns for step in self.steps), 0.0)
 
 
 @dataclass(frozen=True)
@@ -131,16 +127,6 @@ class PulseTiming:
         for name in ("prepare_ns", "measure_ns", "idle_ns", "pi_pulse_ns", "tomography_ns"):
             if getattr(self, name) < 0.0:
                 raise DomainError(f"{name} must be nonnegative")
-
-    @property
-    def uncollapse_total_ns(self) -> float:
-        return (
-            self.prepare_ns
-            + 2.0 * self.measure_ns
-            + self.idle_ns
-            + self.pi_pulse_ns
-            + self.tomography_ns
-        )
 
 
 @dataclass(frozen=True)
@@ -197,8 +183,12 @@ class ExperimentConfig:
             return p_real, np.array([float(self.phi_m_model(x)) for x in p_real.tolist()])
         return p_real, self.phi_m_rate * p_real
 
-    def decoherence_for(self, duration_ns: float) -> DecoherenceStep:
-        return DecoherenceStep.for_device(self.device, duration_ns, echo=self.use_echo_t2)
+    def decoherence_for(self, duration_ns: float) -> DecoherenceStep | None:
+        """Decoherence over a step of ``duration_ns``; None when decoherence
+        is off or the step takes no time."""
+        if self.decoherence_enabled and duration_ns > 0.0:
+            return DecoherenceStep.for_device(self.device, duration_ns, echo=self.use_echo_t2)
+        return None
 
     def at_strength(self, p: float) -> "ExperimentConfig":
         return replace(self, p=p)
@@ -224,8 +214,8 @@ def build_partial_collapse(cfg: ExperimentConfig) -> PulseSequence:
     measure = PartialMeasurement(cfg.effective_p(), cfg.measurement_phase())
     return PulseSequence(
         (
-            SequenceStep(PREPARE, 0.0, t.prepare_ns, cfg.initial),
-            SequenceStep(PARTIAL_MEASURE, t.prepare_ns, t.measure_ns, measure),
+            SequenceStep(PREPARE, t.prepare_ns, cfg.initial),
+            SequenceStep(PARTIAL_MEASURE, t.measure_ns, measure),
         )
     )
 
@@ -238,18 +228,14 @@ def build_uncollapse(cfg: ExperimentConfig) -> PulseSequence:
     """
     t = cfg.timing
     measure = PartialMeasurement(cfg.effective_p(), cfg.measurement_phase())
-    pulse = RotationPulse.about_x(cfg.pi_fraction * np.pi, t.pi_pulse_ns)
-    t_m1 = t.prepare_ns
-    t_idle = t_m1 + t.measure_ns
-    t_pi = t_idle + t.idle_ns
-    t_m2 = t_pi + t.pi_pulse_ns
+    pulse = RotationPulse.about_x(cfg.pi_fraction * np.pi)
     return PulseSequence(
         (
-            SequenceStep(PREPARE, 0.0, t.prepare_ns, cfg.initial),
-            SequenceStep(PARTIAL_MEASURE, t_m1, t.measure_ns, measure),
-            SequenceStep(IDLE, t_idle, t.idle_ns),
-            SequenceStep(ROTATE, t_pi, t.pi_pulse_ns, pulse),
-            SequenceStep(PARTIAL_MEASURE, t_m2, t.measure_ns, measure),
+            SequenceStep(PREPARE, t.prepare_ns, cfg.initial),
+            SequenceStep(PARTIAL_MEASURE, t.measure_ns, measure),
+            SequenceStep(IDLE, t.idle_ns),
+            SequenceStep(ROTATE, t.pi_pulse_ns, pulse),
+            SequenceStep(PARTIAL_MEASURE, t.measure_ns, measure),
         )
     )
 
@@ -289,8 +275,7 @@ def compile_sequence(seq: PulseSequence, cfg: ExperimentConfig) -> tuple:
                 raise StructuralError("full_measure must be the final step")
             ops.append(PartialMeasurement(cfg.device.visibility).transfer(CLICK))
             continue
-        if cfg.decoherence_enabled and step.duration_ns > 0.0:
-            ops.extend(decoherence_ops(cfg.decoherence_for(step.duration_ns)))
+        ops.extend(decoherence_ops(cfg.decoherence_for(step.duration_ns)))
     return tuple(ops)
 
 

@@ -106,7 +106,7 @@ def _readout_rows(visibility: float, tomo_decoherence: DecoherenceStep | None) -
     """Row s gives v * <1| rho_s |1> from r of the normalized state: the
     readout's event row through the compiled tomography operations."""
     readout = PartialMeasurement(visibility).transfer(CLICK).event[0]
-    decay = () if tomo_decoherence is None else decoherence_ops(tomo_decoherence)
+    decay = decoherence_ops(tomo_decoherence)
     rows = np.array(
         [readout @ chain((tomography_rotation(s).transfer(), *decay)) for s in TOMO_SETTINGS]
     )
@@ -193,15 +193,8 @@ def with_tomography(seq: PulseSequence, setting: str, timing: PulseTiming) -> Pu
     The z setting keeps the pulse window (with no rotation) so that all
     three settings share a common readout instant.
     """
-    start, window = seq.total_duration_ns, timing.tomography_ns
-    analysis = SequenceStep(ROTATE, start, window, tomography_rotation(setting, window))
-    return PulseSequence(seq.steps + (analysis, SequenceStep(FULL_MEASURE, start + window, 0.0)))
-
-
-def _analysis_decoherence(cfg: ExperimentConfig) -> DecoherenceStep | None:
-    if cfg.decoherence_enabled and cfg.timing.tomography_ns > 0.0:
-        return cfg.decoherence_for(cfg.timing.tomography_ns)
-    return None
+    analysis = SequenceStep(ROTATE, timing.tomography_ns, tomography_rotation(setting))
+    return PulseSequence(seq.steps + (analysis, SequenceStep(FULL_MEASURE, 0.0)))
 
 
 def exact_tomography_record(
@@ -213,7 +206,7 @@ def exact_tomography_record(
         outcome.conditional,
         outcome.p_background,
         cfg.device,
-        tomo_decoherence=_analysis_decoherence(cfg),
+        tomo_decoherence=cfg.decoherence_for(cfg.timing.tomography_ns),
     )
     return record, outcome
 
@@ -224,7 +217,8 @@ def exact_tomography_records(cfg: ExperimentConfig, initials: tuple) -> list:
     compiled sequence, one fold and one forward-model pass over the stack of
     states."""
     rho, escaped = fold_exact(build_uncollapse(cfg), cfg, initials)
-    return _forward(pauli_vectors(rho), escaped, cfg.device, _analysis_decoherence(cfg))
+    analysis = cfg.decoherence_for(cfg.timing.tomography_ns)
+    return _forward(pauli_vectors(rho), escaped, cfg.device, analysis)
 
 
 def exact_tomography_sweep(cfg: ExperimentConfig, p_grid, kind: str = "uncollapse") -> tuple:
@@ -233,5 +227,6 @@ def exact_tomography_sweep(cfg: ExperimentConfig, p_grid, kind: str = "uncollaps
     compiled sequence, one fold and one forward-model pass over the grid.
     Returns the list of records and the (n,) success probabilities."""
     rho, escaped = fold_sweep(build_sequence(kind, cfg), cfg, p_grid)
-    records = _forward(pauli_vectors(rho), escaped, cfg.device, _analysis_decoherence(cfg))
+    analysis = cfg.decoherence_for(cfg.timing.tomography_ns)
+    records = _forward(pauli_vectors(rho), escaped, cfg.device, analysis)
     return records, rho.trace(axis1=-2, axis2=-1).real

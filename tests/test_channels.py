@@ -118,7 +118,7 @@ def test_rotation_pulses_are_unitary_and_signed_correctly():
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         angle = rng.uniform(-2 * np.pi, 2 * np.pi)
-        u = RotationPulse(tuple(axis), angle, 0.0).unitary()
+        u = RotationPulse(tuple(axis), angle).unitary()
         assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
     # pi about X is -i sigma_x
     u = RotationPulse.about_x(np.pi).unitary()
@@ -127,7 +127,7 @@ def test_rotation_pulses_are_unitary_and_signed_correctly():
 
 def test_rotation_pulse_rejects_non_unit_axis():
     with pytest.raises(DomainError):
-        RotationPulse((1.0, 1.0, 0.0), np.pi, 0.0)
+        RotationPulse((1.0, 1.0, 0.0), np.pi)
 
 
 def test_pi_rotation_about_x_flips_poles():
@@ -274,8 +274,8 @@ def test_memoized_maps_are_shared_and_read_only():
 
     measure = PartialMeasurement(0.3, 0.7)
     assert measure.transfer() is PartialMeasurement(0.3, 0.7).transfer()
-    pulse = RotationPulse.about_x(np.pi, 10.0)
-    assert pulse.transfer() is RotationPulse.about_x(np.pi, 2.0).transfer()
+    pulse = RotationPulse.about_x(np.pi)
+    assert pulse.transfer() is RotationPulse.about_x(np.pi).transfer()
     step = DecoherenceStep(10.0, 450.0, 500.0)
     ops = [measure.transfer(), measure.transfer(CLICK), pulse.transfer(),
            tomography_rotation("x").transfer(), *decoherence_ops(step), _prepare_op(PureState(1.0))]

@@ -6,6 +6,7 @@ import pytest
 from uncollapse import (
     DomainError,
     ExperimentConfig,
+    PartialMeasurement,
     PulseSequence,
     PulseTiming,
     PureState,
@@ -26,7 +27,15 @@ from uncollapse import (
     theory_polar_angle,
 )
 from uncollapse.montecarlo import _draw_count, _run_batch
-from uncollapse.protocol import FULL_MEASURE, IDLE, PARTIAL_MEASURE, PREPARE, ROTATE, fold_sweep
+from uncollapse.protocol import (
+    FULL_MEASURE,
+    IDLE,
+    PARTIAL_MEASURE,
+    PREPARE,
+    ROTATE,
+    STEP_KINDS,
+    fold_sweep,
+)
 from uncollapse.tomography import with_tomography
 
 
@@ -36,41 +45,51 @@ def _cfg(theta0=np.pi / 2, phi0=0.0, **kw):
 
 def test_default_timing_totals_44_ns():
     t = PulseTiming()
-    assert t.uncollapse_total_ns == 44.0
-    assert build_uncollapse(_cfg(p=0.5)).total_duration_ns == 34.0  # analysis pulse excluded
-
-
-def test_sequence_rejects_overlapping_steps():
-    with pytest.raises(StructuralError):
-        PulseSequence(
-            (
-                SequenceStep(PREPARE, 0.0, 10.0, PureState(0.0)),
-                SequenceStep(IDLE, 5.0, 10.0),
-            )
-        )
+    cfg = _cfg(p=0.5)
+    assert with_tomography(build_uncollapse(cfg), "z", t).total_duration_ns == 44.0
+    assert build_uncollapse(cfg).total_duration_ns == 34.0  # analysis pulse excluded
 
 
 def test_sequence_step_kind_and_duration_checks():
     with pytest.raises(StructuralError):
-        SequenceStep("warmup", 0.0, 1.0)
+        SequenceStep("warmup", 1.0)
     with pytest.raises(StructuralError):
-        SequenceStep(IDLE, 0.0, -1.0)
+        SequenceStep(IDLE, -1.0)
+
+
+def test_each_step_kind_rejects_a_wrong_payload():
+    payloads = {
+        PREPARE: PureState(0.0),
+        ROTATE: RotationPulse.about_x(np.pi),
+        PARTIAL_MEASURE: PartialMeasurement(0.3),
+        IDLE: None,
+        FULL_MEASURE: None,
+    }
+    assert payloads.keys() == STEP_KINDS.keys()
+    for kind, payload in payloads.items():
+        assert SequenceStep(kind, 1.0, payload).payload == payload
+        for wrong in [value for value in payloads.values() if value != payload] + [5.0]:
+            with pytest.raises(StructuralError):
+                SequenceStep(kind, 1.0, wrong)
+    # a (kind, start, duration) call cannot pass a duration off as the payload
+    with pytest.raises(StructuralError):
+        SequenceStep(IDLE, 10.0, 5.0)
 
 
 MALFORMED_SEQUENCES = (
     PulseSequence(()),
-    PulseSequence((SequenceStep(IDLE, 0.0, 5.0),)),
+    PulseSequence((SequenceStep(IDLE, 5.0),)),
     PulseSequence(
         (
-            SequenceStep(PREPARE, 0.0, 10.0, PureState(0.0)),
-            SequenceStep(PREPARE, 10.0, 10.0, PureState(0.0)),
+            SequenceStep(PREPARE, 10.0, PureState(0.0)),
+            SequenceStep(PREPARE, 10.0, PureState(0.0)),
         )
     ),
     PulseSequence(
         (
-            SequenceStep(PREPARE, 0.0, 10.0, PureState(0.0)),
-            SequenceStep(FULL_MEASURE, 10.0, 0.0),
-            SequenceStep(IDLE, 10.0, 5.0),
+            SequenceStep(PREPARE, 10.0, PureState(0.0)),
+            SequenceStep(FULL_MEASURE, 0.0),
+            SequenceStep(IDLE, 5.0),
         )
     ),
 )
@@ -92,8 +111,8 @@ def test_fold_sweep_structural_errors():
             fold_sweep(seq, cfg, grid)
     unmeasured = PulseSequence(
         (
-            SequenceStep(PREPARE, 0.0, 10.0, PureState(1.0)),
-            SequenceStep(ROTATE, 10.0, 10.0, RotationPulse.about_x(np.pi)),
+            SequenceStep(PREPARE, 10.0, PureState(1.0)),
+            SequenceStep(ROTATE, 10.0, RotationPulse.about_x(np.pi)),
         )
     )
     # no measurement to sweep, or one the grid cannot stand in for
@@ -335,7 +354,6 @@ def test_ramsey_dephasing_switch_degrades_faster():
 def test_pulses_steps_and_sequences_are_hashable_values():
     assert RotationPulse.about_x(np.pi) == RotationPulse(np.array([1.0, 0.0, 0.0]), np.pi)
     assert hash(RotationPulse.about_x(np.pi)) == hash(RotationPulse((1, 0, 0), np.pi))
-    assert RotationPulse.about_x(np.pi, 10.0) != RotationPulse.about_x(np.pi)
     cfg = _cfg(p=0.4)
     first = with_tomography(build_uncollapse(cfg), "y", cfg.timing)
     second = with_tomography(build_uncollapse(cfg), "y", cfg.timing)

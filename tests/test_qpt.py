@@ -70,7 +70,7 @@ def test_reconstruction_predicts_unseen_inputs():
     rng = np.random.default_rng(97)
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
-    u = RotationPulse(tuple(axis), 1.23, 0.0).unitary()
+    u = RotationPulse(tuple(axis), 1.23).unitary()
     chi = qpt_reconstruct(ProbeSet(PROBE_STATES, _probe_outputs(u)))
     for _ in range(20):
         s = PureState(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
