@@ -196,10 +196,10 @@ def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
-def _write_rows(path: str, header: list, rows: list) -> None:
+def _csv(header: list, rows: list) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    return "\n".join(lines) + "\n"
 
 
 def _sampled(sweep: SweepSpec, base: ExperimentConfig, kind: str):
@@ -227,20 +227,30 @@ def _sweep_rows(sweep: SweepSpec, base: ExperimentConfig, kind: str) -> list:
     return rows
 
 
-def cmd_collapse(sweep: SweepSpec, base: ExperimentConfig, out: str) -> None:
-    _write_rows(out, COLLAPSE_HEADER, _sweep_rows(sweep, base, "collapse"))
+def cmd_collapse(sweep: SweepSpec, base: ExperimentConfig) -> list:
+    return [_csv(COLLAPSE_HEADER, _sweep_rows(sweep, base, "collapse"))]
 
 
-def cmd_uncollapse(sweep: SweepSpec, base: ExperimentConfig, out: str) -> None:
-    _write_rows(out, UNCOLLAPSE_HEADER, _sweep_rows(sweep, base, "uncollapse"))
+def cmd_uncollapse(sweep: SweepSpec, base: ExperimentConfig) -> list:
+    return [_csv(UNCOLLAPSE_HEADER, _sweep_rows(sweep, base, "uncollapse"))]
 
 
-def _chi_path(out: str, p: float) -> Path:
+def _output_paths(command: str, sweep: SweepSpec, out: str) -> list:
+    """Every file ``command`` writes, in the order its texts come (the CSV,
+    then for qpt one chi JSON per ``chi_p`` strength), each checked before
+    the run to be a file path in an existing directory."""
     stem = Path(out)
-    return stem.with_name(f"{stem.stem}_chi_p{_fmt(p)}.json")
+    chi_p = sweep.chi_p if command == "qpt" else ()
+    paths = [stem] + [stem.with_name(f"{stem.stem}_chi_p{_fmt(p)}.json") for p in chi_p]
+    for path in paths:
+        if path.is_dir():
+            raise ConfigError(f"cannot write output: {path} is a directory")
+        if not path.parent.is_dir():
+            raise ConfigError(f"cannot write output: {path.parent} is not a directory")
+    return paths
 
 
-def cmd_qpt(sweep: SweepSpec, base: ExperimentConfig, out: str) -> None:
+def cmd_qpt(sweep: SweepSpec, base: ExperimentConfig) -> list:
     def chi_at(p: float, row_index: int):
         cfg = base.at_strength(p)
         if sweep.mode == "exact":
@@ -250,7 +260,7 @@ def cmd_qpt(sweep: SweepSpec, base: ExperimentConfig, out: str) -> None:
     rows = []
     for row_index, p in enumerate(sweep.p_grid):
         rows.append([p, process_fidelity(chi_at(p, row_index))])
-    _write_rows(out, QPT_HEADER, rows)
+    texts = [_csv(QPT_HEADER, rows)]
     for extra_index, p in enumerate(sweep.chi_p):
         chi = chi_at(p, len(sweep.p_grid) + extra_index)
         payload = {
@@ -260,7 +270,8 @@ def cmd_qpt(sweep: SweepSpec, base: ExperimentConfig, out: str) -> None:
             "chi_imag": [[float(_fmt(v)) for v in row] for row in chi.matrix.imag],
             "fidelity": float(_fmt(process_fidelity(chi))),
         }
-        _chi_path(out, p).write_text(json.dumps(payload, indent=2) + "\n", newline="\n")
+        texts.append(json.dumps(payload, indent=2) + "\n")
+    return texts
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,12 +303,16 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         sweep, base = assemble(config, args)
+        paths = _output_paths(args.command, sweep, args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     handler = {"collapse": cmd_collapse, "uncollapse": cmd_uncollapse, "qpt": cmd_qpt}
     try:
-        handler[args.command](sweep, base, args.out)
+        # every output is rendered before the first file is written
+        texts = handler[args.command](sweep, base)
+        for path, text in zip(paths, texts, strict=True):
+            path.write_text(text, newline="\n")
     except (SimulationError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

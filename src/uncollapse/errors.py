@@ -14,7 +14,7 @@ class UndefinedStateError(SimulationError):
 
 
 class StructuralError(SimulationError):
-    """A pulse sequence is malformed: bad ordering, overlap, or layout."""
+    """A pulse sequence is malformed: bad ordering, a wrong payload, or layout."""
 
 
 class UndefinedDirectionError(SimulationError):

@@ -270,6 +270,34 @@ def test_unwritable_out_exits_2_with_one_error_line(tmp_path, capsys, command, o
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
+def test_unwritable_out_fails_before_any_sampling(tmp_path, monkeypatch, capsys):
+    import uncollapse.montecarlo as montecarlo
+
+    calls = []
+    monkeypatch.setattr(montecarlo, "_shot_uniforms", lambda *a: calls.append(a))
+    argv = ["qpt", "--mode", "mc", "--out", str(tmp_path / "missing" / "x.csv")]
+    assert main(argv) == 2
+    assert calls == []
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "chi_p, blocker, code",
+    [
+        # a chi JSON path that is a directory is found before the run
+        ([0.4], "x_chi_p0.4.json", 2),
+        # a numeric failure in a chi row comes after the fidelity rows
+        ([1.0 - 1e-13], None, 3),
+    ],
+)
+def test_qpt_writes_no_file_unless_every_output_is_ready(tmp_path, chi_p, blocker, code):
+    cfg = _write_config(tmp_path, p_grid=[0.2], chi_p=chi_p)
+    if blocker:
+        (tmp_path / blocker).mkdir()
+    assert main(["qpt", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == code
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("decoherence", [False, True])
 @pytest.mark.parametrize("command", ["collapse", "uncollapse"])
 def test_exact_sweep_compiles_once_and_checks_positivity_once(tmp_path, monkeypatch, command,

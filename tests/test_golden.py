@@ -15,7 +15,9 @@ from uncollapse.cli import main
 
 MC_GRID = [0.1, 0.47, 0.8]
 DECOHERED = {"decoherence": True, "device": {"visibility": 0.9}, "p_error_fraction": 0.05}
-ZERO_WINDOWS = {"p_grid": MC_GRID, "decoherence": True, "timing_ns": {"idle": 0.0, "tomography": 0.0}}
+ZERO_WINDOWS = {
+    "p_grid": MC_GRID, "decoherence": True, "timing_ns": {"idle": 0.0, "tomography": 0.0},
+}
 
 CASES = {
     "uncollapse_mc": (

@@ -1,0 +1,23 @@
+"""README drift: the library quick start runs and prints what it promises."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_readme_quick_start_runs_and_prints_its_documented_values():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S)
+    assert block is not None, "README has no python block under 'Library quick start'"
+    inherited = os.environ.get("PYTHONPATH")
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + inherited if inherited else ""))
+    run = subprocess.run([sys.executable, "-c", block.group(1)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    # p_success and p_background at p = 0.5, then the ideal process fidelity
+    assert run.stdout.splitlines()[:3] == ["0.5", "0.5", "1.0"]
