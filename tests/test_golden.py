@@ -108,6 +108,15 @@ CASES = {
             "out_chi_p0.47.json": "2e2d0ee44326b6b9d9ac622b7141f2da2d916d4f19ca2205f55582a373bc08cf",
         },
     ),
+    # 4,097 shots per setting: two full sampling passes of 2,048 shots and
+    # a third of one, so the counts must join across pass boundaries
+    "uncollapse_mc_pass_boundaries": (
+        ["uncollapse", "--mode", "mc", "--shots", "4097"],
+        {"p_grid": [0.25, 0.7], "decoherence": True, "seed": 4242},
+        {
+            "out.csv": "259524ffff13a931a4b73258f309dcaa98434c454af6d372cba20268dc995ef1",
+        },
+    ),
 }
 
 
