@@ -275,7 +275,7 @@ class DecoherenceStep:
     t_phi_ns: float
 
     def __post_init__(self):
-        if self.duration_ns < 0.0:
+        if not self.duration_ns >= 0.0:
             raise DomainError("duration must be nonnegative")
         if self.t1_ns <= 0.0 or self.t_phi_ns <= 0.0:
             raise DomainError("decay times must be positive")

@@ -2,9 +2,10 @@
 
 Each shot follows one stochastic trajectory through the operations of
 :func:`protocol.compile_sequence`, the ones exact evolution runs, so the two
-engines agree in expectation by construction.  A shot carries its
-normalized Pauli vector r; at a stochastic operation it takes the event
-when its uniform falls below (A1 r)[0] and goes on from the branch it took.
+engines agree in expectation by construction.  A shot's state is the
+normalized Pauli vector r of its branch history, held once per distinct
+history; at a stochastic operation the shot takes the event when its
+uniform falls below (A1 r)[0] and goes on from the branch it took.
 
 Randomness is counter based.  Shot ``k`` of stream ``j`` draws its
 uniforms from Philox4x64-10 keyed by the master seed with counter block
@@ -21,6 +22,7 @@ import numpy as np
 from .channels import CLICK, ESCAPE
 from .errors import DomainError, StructuralError
 from .protocol import (
+    _UNIT_TRACE,
     ExperimentConfig,
     PulseSequence,
     build_sequence,
@@ -38,9 +40,10 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _DOUBLE_SHIFT = np.uint64(11)
 _WORD = 1 << 64
-# shots sampled per pass of estimate_probabilities; the counter streams make
-# the result independent of it, and it bounds the memory a setting takes
-_SHOT_CHUNK = 1 << 16
+# shots per setting in one pass of estimate_probabilities, which samples the
+# three settings as one stack; the counter streams make the result
+# independent of it, and a pass this size keeps Philox's temporaries in cache
+_SHOT_CHUNK = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -101,7 +104,7 @@ def _philox4x64(c0, c1, c2, c3, k0: np.uint64, k1: np.uint64):
 
 def _shot_uniforms(
     master_seed: int,
-    stream_index: int,
+    stream_index,
     shot_start: int,
     n_shots: int,
     n_draws: int,
@@ -112,64 +115,120 @@ def _shot_uniforms(
     stream_index, shot_start + i])).random(n_draws)``: block ``b = 1, 2, ...``
     of a shot is Philox4x64-10 of the counter (b, 0, stream, shot) under
     the key (seed mod 2**64, seed >> 64), its four words are used in order,
-    and a word ``w`` becomes the double ``(w >> 11) * 2**-53``.  Every shot
-    and every block of the call is computed in one pass.
+    and a word ``w`` becomes the double ``(w >> 11) * 2**-53``.
+    ``stream_index`` may also be a tuple of stream indices; the ``n_shots``
+    rows of each stream then follow one another in the tuple's order.  Every
+    stream, shot and block of the call is computed in one pass.
     """
+    streams = stream_index if isinstance(stream_index, tuple) else (stream_index,)
     if not 0 <= master_seed < 2**128:
         raise DomainError(f"seed {master_seed} outside [0, 2**128)")
-    if not 0 <= stream_index < _WORD:
-        raise DomainError(f"stream index {stream_index} outside [0, 2**64)")
+    for stream in streams:
+        if not 0 <= stream < _WORD:
+            raise DomainError(f"stream index {stream} outside [0, 2**64)")
     if shot_start < 0 or n_shots < 0 or shot_start + n_shots > _WORD:
         raise DomainError("shot indices must lie in [0, 2**64)")
     if n_draws < 0:
         raise DomainError("the number of draws cannot be negative")
     n_blocks = -(-n_draws // 4)
-    blocks = np.arange(1, n_blocks + 1, dtype=np.uint64)[None, :]
+    blocks = np.arange(1, n_blocks + 1, dtype=np.uint64)
     shots = (np.uint64(shot_start) + np.arange(n_shots, dtype=np.uint64))[:, None]
     words = _philox4x64(
         blocks,
         np.uint64(0),
-        np.uint64(stream_index),
+        np.array(streams, dtype=np.uint64)[:, None, None],
         shots,
         np.uint64(master_seed & (_WORD - 1)),
         np.uint64(master_seed >> 64),
     )
-    stacked = np.stack(words, axis=-1).reshape(n_shots, 4 * n_blocks)[:, :n_draws]
-    return (stacked >> _DOUBLE_SHIFT).astype(np.float64) * 2.0**-53
+    stacked = np.stack(words, axis=-1).reshape(len(streams) * n_shots, 4 * n_blocks)
+    return (stacked[:, :n_draws] >> _DOUBLE_SHIFT).astype(np.float64) * 2.0**-53
 
 
-def _run_batch(seq: PulseSequence, cfg: ExperimentConfig, uniforms: np.ndarray):
+def _apply(r, member, ops, pick):
+    """``r @ pick(op)`` with each class row under its own member's op;
+    ``ops`` holds one op when every member shares it."""
+    if len(ops) == 1:
+        return r @ pick(ops[0])
+    out = np.empty(r.shape[:1] + pick(ops[0]).shape[1:])
+    for m, op in enumerate(ops):
+        rows = member == m
+        out[rows] = r[rows] @ pick(op)
+    return out
+
+
+def _run_batch(seq, cfg: ExperimentConfig, uniforms: np.ndarray):
     """Vectorized trajectory evolution for a batch of shots.
 
+    ``seq`` is a PulseSequence, or a tuple of sequences that share one step
+    structure (the tomography settings of one sequence); the uniform rows
+    then split evenly among them in order.  Shots with the same branch
+    history hold the same normalized Pauli vector, so only the classes of
+    distinct histories carry states and each shot carries its class.  At a
+    stochastic operation a shot takes the event when its uniform falls below
+    its class's event probability, and the (class, event) pairs that occur
+    become the next classes in order.  Class 0 gathers the escaped shots:
+    its event probability is 0 and its state the unit-trace r = (1, 0, 0, 0),
+    which no map empties.
+
     Returns (outcomes, detected) where ``outcomes`` has shape
-    (n_shots, n_partial_measurements).
+    (n_shots, n_partial_measurements), rows in the order of ``uniforms``.
     """
-    ops = compile_sequence(seq, cfg)
-    if uniforms.shape[1] != sum(op.event is not None for op in ops):
+    seqs = seq if isinstance(seq, tuple) else (seq,)
+    programs = [compile_sequence(s, cfg) for s in seqs]
+    shapes = [[(op.event is None, op.effect) for op in ops] for ops in programs]
+    if not seqs or any(shape != shapes[0] for shape in shapes):
+        raise StructuralError("stacked sequences must share one step structure")
+    # compiled maps are cached, so an op the members share is one object
+    steps = [ops[:1] if all(op is ops[0] for op in ops) else ops for ops in zip(*programs)]
+    if uniforms.shape[1] != sum(ops[0].event is not None for ops in steps):
         raise StructuralError("uniform draw layout out of sync with the sequence")
-    n = uniforms.shape[0]
-    r = np.zeros((n, 4))
+    if uniforms.shape[0] % len(seqs):
+        raise StructuralError("uniform rows do not split evenly over the stacked sequences")
+    # class 1 + m starts the shots of member m
+    member = np.arange(-1, len(seqs)).clip(0)
+    r = np.zeros((len(member), 4))
     r[:, 0] = 1.0
-    alive = np.ones(n, dtype=bool)
-    detected = np.zeros(n, dtype=bool)
+    # twice each shot's class: adding its event gives its (class, event) pair
+    pair_base = np.repeat(np.arange(2, 2 * len(member), 2), uniforms.shape[0] // len(seqs))
+    detected = np.zeros(len(pair_base), dtype=bool)
     outcomes = []
     draws = iter(uniforms.T)
-    for op in ops:
-        if op.event is None:
-            r = r @ op.no_event.T
+    for ops in steps:
+        if ops[0].event is None:
+            r = _apply(r, member, ops, lambda op: op.no_event.T)
             continue
-        event = next(draws) < r @ op.event[0]
-        # shots that left the well keep valid states too, which only
-        # masking by ``alive`` keeps out of the record
-        r = np.where(event[:, None], r @ op.event.T, r @ op.no_event.T)
-        r = r / r[:, :1]
-        if op.effect == ESCAPE:
-            outcomes.append(alive & event)
-            alive &= ~event
-        elif op.effect == CLICK:
-            detected = alive & event
+        r[0] = _UNIT_TRACE
+        prob = _apply(r, member, ops, lambda op: op.event[0])
+        prob[0] = 0.0
+        event = next(draws) < prob.repeat(2)[pair_base]
+        # class 0 never takes the event, so an event is a live shot's
+        if ops[0].effect == ESCAPE:
+            outcomes.append(event)
+        elif ops[0].effect == CLICK:
+            detected = event
+        # the pairs that occur become the next classes in order; class 0
+        # stays first, and a shot that escapes joins it
+        pair = pair_base + event
+        occurs = np.bincount(pair, minlength=2 * len(r)) > 0
+        occurs[0] = True
+        if ops[0].effect == ESCAPE:
+            occurs[1::2] = False
+        kept = occurs.nonzero()[0]
+        branches = np.concatenate(
+            (
+                _apply(r, member, ops, lambda op: op.no_event.T),
+                _apply(r, member, ops, lambda op: op.event.T),
+            ),
+            axis=1,
+        ).reshape(-1, 4)[kept]
+        r = branches / branches[:, :1]
+        member = member[kept >> 1]
+        table = np.zeros(len(occurs), dtype=np.intp)
+        table[kept] = np.arange(0, 2 * len(kept), 2)
+        pair_base = table[pair]
     outcome_matrix = (
-        np.stack(outcomes, axis=1) if outcomes else np.zeros((n, 0), dtype=bool)
+        np.stack(outcomes, axis=1) if outcomes else np.zeros((len(detected), 0), dtype=bool)
     )
     return outcome_matrix, detected
 
@@ -205,29 +264,27 @@ def estimate_probabilities(
     probability, matching what a threshold detector reports; the background
     is estimated from pre-analysis detections pooled over the three
     settings.  Standard errors are sqrt(P(1-P)/n).  Shots are sampled in
-    chunks of at most ``_SHOT_CHUNK``, with the same result for any chunk
-    size.
+    chunks of at most ``_SHOT_CHUNK`` per setting, the three settings as one
+    stack, with the same result for any chunk size.
     """
     if n_shots < 1:
         raise DomainError("need at least one shot per setting")
     base = build_sequence(kind, cfg)
-    probs = {}
-    errors = {}
+    seqs = tuple(with_tomography(base, setting, cfg.timing) for setting in TOMO_SETTINGS)
+    streams = tuple(stream_base + j for j in range(len(seqs)))
+    n_draws = _draw_count(seqs[0], cfg)
+    clicks = [0] * len(seqs)
     escape_total = 0
-    for j, setting in enumerate(TOMO_SETTINGS):
-        seq = with_tomography(base, setting, cfg.timing)
-        n_draws = _draw_count(seq, cfg)
-        clicks = 0
-        for start in range(0, n_shots, _SHOT_CHUNK):
-            count = min(_SHOT_CHUNK, n_shots - start)
-            uniforms = _shot_uniforms(seed, stream_base + j, start, count, n_draws)
-            outcomes, detected = _run_batch(seq, cfg, uniforms)
-            escaped = outcomes.any(axis=1)
-            clicks += int(np.count_nonzero(escaped | detected))
-            escape_total += int(np.count_nonzero(escaped))
-        p_hat = clicks / n_shots
-        probs[setting] = p_hat
-        errors[setting] = float(np.sqrt(p_hat * (1.0 - p_hat) / n_shots))
+    for start in range(0, n_shots, _SHOT_CHUNK):
+        count = min(_SHOT_CHUNK, n_shots - start)
+        uniforms = _shot_uniforms(seed, streams, start, count, n_draws)
+        outcomes, detected = _run_batch(seqs, cfg, uniforms)
+        escaped = outcomes.any(axis=1)
+        hits = np.count_nonzero((escaped | detected).reshape(len(seqs), count), axis=1)
+        clicks = [total + int(h) for total, h in zip(clicks, hits)]
+        escape_total += int(np.count_nonzero(escaped))
+    probs = {setting: hits / n_shots for setting, hits in zip(TOMO_SETTINGS, clicks)}
+    errors = {setting: float(np.sqrt(p * (1.0 - p) / n_shots)) for setting, p in probs.items()}
     pooled = 3 * n_shots
     p_b = escape_total / pooled
     record = TomographyRecord(

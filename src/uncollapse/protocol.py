@@ -94,7 +94,7 @@ class SequenceStep:
             raise StructuralError(
                 f"a {self.kind} step cannot carry a {type(self.payload).__name__} payload"
             )
-        if self.duration_ns < 0.0:
+        if not self.duration_ns >= 0.0:
             raise StructuralError("step duration must be nonnegative")
 
 
@@ -125,7 +125,7 @@ class PulseTiming:
 
     def __post_init__(self):
         for name in ("prepare_ns", "measure_ns", "idle_ns", "pi_pulse_ns", "tomography_ns"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise DomainError(f"{name} must be nonnegative")
 
 

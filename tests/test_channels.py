@@ -153,6 +153,12 @@ def test_tomography_rotation_settings_map_the_right_axes():
         tomography_rotation("w")
 
 
+@pytest.mark.parametrize("duration", [-1.0, float("nan")])
+def test_decoherence_step_rejects_negative_and_nan_durations(duration):
+    with pytest.raises(DomainError):
+        DecoherenceStep(duration, 450.0, 600.0)
+
+
 def test_pure_dephasing_time_from_rate_subtraction():
     # 1/T2 = 1/(2 T1) + 1/T_phi
     t_phi = pure_dephasing_time(450.0, 350.0)

@@ -448,9 +448,10 @@ def _qpt_mc_streams(tmp_path, monkeypatch, seed):
     drawn = []
     original = montecarlo._shot_uniforms
 
-    def recording(master_seed, stream_index, *rest):
-        drawn.append((master_seed, stream_index))
-        return original(master_seed, stream_index, *rest)
+    def recording(master_seed, streams, *rest):
+        # each estimate samples its three settings' streams as one stack
+        drawn.extend((master_seed, stream) for stream in streams)
+        return original(master_seed, streams, *rest)
 
     cfg = _write_config(tmp_path, f"qpt{seed}.json", p_grid=[0.1, 0.5], chi_p=[0.3], shots=5)
     argv = ["qpt", "--config", cfg, "--out", str(tmp_path / f"qpt{seed}.csv"), "--mode", "mc"]

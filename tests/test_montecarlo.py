@@ -7,8 +7,14 @@ from numpy.random import Generator, Philox
 from uncollapse import (
     DomainError,
     ExperimentConfig,
+    PartialMeasurement,
+    PulseSequence,
+    PulseTiming,
     PureState,
+    RotationPulse,
+    SequenceStep,
     build_uncollapse,
+    default_device,
     estimate_probabilities,
     exact_tomography_record,
     montecarlo_uncollapse_chi,
@@ -16,7 +22,15 @@ from uncollapse import (
     process_fidelity,
     sample_sequence,
 )
+from uncollapse.channels import CLICK, ESCAPE
 from uncollapse.montecarlo import _draw_count, _run_batch, _shot_uniforms
+from uncollapse.protocol import (
+    PARTIAL_MEASURE,
+    PREPARE,
+    ROTATE,
+    build_sequence,
+    compile_sequence,
+)
 from uncollapse.tomography import TOMO_SETTINGS, with_tomography
 
 
@@ -65,19 +79,120 @@ def test_partitioning_shots_does_not_change_outcomes():
     assert np.array_equal(out_full[1], out_split[1])
 
 
+def _dense_run_batch(seq, cfg, uniforms):
+    """The per-shot kernel the branch-class kernel replaced, kept as the
+    reference: every shot carries its own Pauli vector."""
+    ops = compile_sequence(seq, cfg)
+    n = uniforms.shape[0]
+    r = np.zeros((n, 4))
+    r[:, 0] = 1.0
+    alive = np.ones(n, dtype=bool)
+    detected = np.zeros(n, dtype=bool)
+    outcomes = []
+    draws = iter(uniforms.T)
+    for op in ops:
+        if op.event is None:
+            r = r @ op.no_event.T
+            continue
+        event = next(draws) < r @ op.event[0]
+        r = np.where(event[:, None], r @ op.event.T, r @ op.no_event.T)
+        r = r / r[:, :1]
+        if op.effect == ESCAPE:
+            outcomes.append(alive & event)
+            alive &= ~event
+        elif op.effect == CLICK:
+            detected = alive & event
+    outcome_matrix = (
+        np.stack(outcomes, axis=1) if outcomes else np.zeros((n, 0), dtype=bool)
+    )
+    return outcome_matrix, detected
+
+
+def _assert_same_decisions(seqs, cfg, uniforms):
+    # the call, with one sequence or a stack, against the reference run
+    # member by member on its rows
+    got = _run_batch(seqs, cfg, uniforms)
+    members = seqs if isinstance(seqs, tuple) else (seqs,)
+    rows = np.split(uniforms, len(members))
+    want = [_dense_run_batch(seq, cfg, part) for seq, part in zip(members, rows)]
+    assert np.array_equal(got[0], np.vstack([w[0] for w in want]))
+    assert np.array_equal(got[1], np.concatenate([w[1] for w in want]))
+
+
+def _random_config(rng, i):
+    # strengths 0 and 1 on 12 of the 60 configs, decoherence on half
+    p = {0: 0.0, 1: 1.0, 2: 0.0, 3: 1.0}.get(i % 10, rng.uniform(0.0, 1.0))
+    return ExperimentConfig(
+        PureState(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)),
+        p=p,
+        decoherence_enabled=i % 4 >= 2,
+        use_echo_t2=bool(rng.integers(2)),
+        pi_fraction=rng.choice([1.0, rng.uniform(0.8, 1.1)]),
+        device=default_device(rng.choice([1.0, rng.uniform(0.5, 1.0)])),
+        phi_m_rate=rng.uniform(0.0, 20.0),
+        p_error_fraction=rng.choice([0.0, rng.uniform(-0.1, 0.1)]),
+        timing=PulseTiming(idle_ns=rng.uniform(0, 30), tomography_ns=rng.uniform(0, 15)),
+    )
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_class_kernel_takes_every_decision_of_the_per_shot_kernel(stacked):
+    # 60 random configs x collapse/uncollapse x x/y/z x 4,000 shots, as one
+    # call per setting or one stacked call per sequence kind
+    rng = np.random.default_rng(2010)
+    for i in range(60):
+        cfg = _random_config(rng, i)
+        for kind in ("collapse", "uncollapse"):
+            base = build_sequence(kind, cfg)
+            seqs = tuple(with_tomography(base, s, cfg.timing) for s in TOMO_SETTINGS)
+            n_draws = _draw_count(seqs[0], cfg)
+            streams = tuple(int(j) for j in rng.integers(0, 2**63, 3))
+            uniforms = _shot_uniforms(i, streams, 0, 4000, n_draws)
+            if stacked:
+                _assert_same_decisions(seqs, cfg, uniforms)
+            else:
+                for seq, rows in zip(seqs, np.split(uniforms, 3)):
+                    _assert_same_decisions(seq, cfg, rows)
+
+
+def test_class_kernel_keeps_escape_flags_past_64_measurements():
+    # 72 weak measurements: a fixed-width history of escape flags would wrap
+    cfg = _cfg(p=0.02, decoherence_enabled=True)
+    measure = SequenceStep(PARTIAL_MEASURE, 3.0, PartialMeasurement(0.02, 0.3))
+    turn = SequenceStep(ROTATE, 5.0, RotationPulse.about_x(0.4))
+    base = PulseSequence((SequenceStep(PREPARE, 10.0, cfg.initial),) + (measure, turn) * 72)
+    seqs = tuple(with_tomography(base, s, cfg.timing) for s in TOMO_SETTINGS)
+    uniforms = _shot_uniforms(70, (0, 1, 2), 0, 2000, _draw_count(seqs[0], cfg))
+    outcomes, _ = _run_batch(seqs, cfg, uniforms)
+    assert outcomes.shape == (6000, 72)
+    assert outcomes[:, 64:].any()
+    _assert_same_decisions(seqs, cfg, uniforms)
+    _assert_same_decisions(seqs[0], cfg, uniforms[:2000])
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 + 5, 2**128 - 1])
+def test_stacked_streams_equal_the_per_stream_rows(seed):
+    for streams in ((0, 1, 2), (65,), (2**64 - 1, 7, 2**64 - 1)):
+        for shot_start, n_shots, n_draws in ((0, 5, 15), (10**6, 3, 4), (2**64 - 4, 4, 1), (0, 0, 3)):
+            got = _shot_uniforms(seed, streams, shot_start, n_shots, n_draws)
+            want = [_shot_uniforms(seed, j, shot_start, n_shots, n_draws) for j in streams]
+            assert np.array_equal(got, np.vstack(want))
+
+
 def test_chunked_estimates_are_bit_identical(monkeypatch):
     import uncollapse.montecarlo as montecarlo
 
     cfg = _cfg(p=0.3, decoherence_enabled=True)
     whole = estimate_probabilities(cfg, 50, seed=9, stream_base=6)
-    sizes = []
+    passes = []
     shot_uniforms = montecarlo._shot_uniforms
     monkeypatch.setattr(montecarlo, "_SHOT_CHUNK", 7)
     monkeypatch.setattr(
-        montecarlo, "_shot_uniforms", lambda *a: sizes.append(a[3]) or shot_uniforms(*a)
+        montecarlo, "_shot_uniforms", lambda *a: passes.append(a[1:4]) or shot_uniforms(*a)
     )
     assert estimate_probabilities(cfg, 50, seed=9, stream_base=6) == whole
-    assert sizes == 3 * ([7] * 7 + [1])
+    # each pass samples the three settings' streams as one stack
+    assert passes == [((6, 7, 8), start, 7) for start in range(0, 49, 7)] + [((6, 7, 8), 49, 1)]
 
 
 @pytest.mark.parametrize("stream", [0, 65])
@@ -111,6 +226,8 @@ def test_shot_uniforms_just_inside_every_limit():
     "args",
     [
         (-1, 0, 0, 1, 3),
+        (1, (0, 2**64), 0, 1, 3),
+        (1, (-1, 0), 0, 1, 3),
         (2**128, 0, 0, 1, 3),
         (1, -1, 0, 1, 3),
         (1, 2**64, 0, 1, 3),

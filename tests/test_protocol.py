@@ -55,6 +55,25 @@ def test_sequence_step_kind_and_duration_checks():
         SequenceStep("warmup", 1.0)
     with pytest.raises(StructuralError):
         SequenceStep(IDLE, -1.0)
+    with pytest.raises(StructuralError):
+        SequenceStep(IDLE, float("nan"))
+
+
+@pytest.mark.parametrize(
+    "name", ["prepare_ns", "measure_ns", "idle_ns", "pi_pulse_ns", "tomography_ns"]
+)
+@pytest.mark.parametrize("value", [-1.0, float("nan")])
+def test_pulse_timing_rejects_negative_and_nan_durations(name, value):
+    with pytest.raises(DomainError):
+        PulseTiming(**{name: value})
+
+
+def test_nan_idle_is_rejected_rather_run_as_a_step_that_takes_no_time():
+    # a NaN duration once passed the nonnegative check and then decohered
+    # nothing: p_success 0.70270, the zero-idle value
+    with pytest.raises(DomainError):
+        cfg = _cfg(p=0.3, decoherence_enabled=True, timing=PulseTiming(idle_ns=float("nan")))
+        run_exact(build_uncollapse(cfg), cfg)
 
 
 def test_each_step_kind_rejects_a_wrong_payload():
@@ -137,8 +156,15 @@ def test_run_batch_structural_errors():
                 with pytest.raises(StructuralError):
                     _run_batch(seq, cfg, np.full((3, n_draws), 0.5))
         good = build_uncollapse(cfg)
+        n_draws = _draw_count(good, cfg)
         with pytest.raises(StructuralError):
-            _run_batch(good, cfg, np.full((3, _draw_count(good, cfg) + 1), 0.5))
+            _run_batch(good, cfg, np.full((3, n_draws + 1), 0.5))
+        # a stack of sequences whose step structures differ
+        with pytest.raises(StructuralError):
+            _run_batch((build_partial_collapse(cfg), good), cfg, np.full((4, n_draws), 0.5))
+        # uniform rows that do not split evenly over the stack
+        with pytest.raises(StructuralError):
+            _run_batch((good, good), cfg, np.full((3, n_draws), 0.5))
 
 
 def test_run_exact_checks_positivity_once_per_run(monkeypatch):
