@@ -195,6 +195,16 @@ def test_chunked_estimates_are_bit_identical(monkeypatch):
     assert passes == [((6, 7, 8), start, 7) for start in range(0, 49, 7)] + [((6, 7, 8), 49, 1)]
 
 
+def test_estimate_compiles_each_setting_once(monkeypatch):
+    import uncollapse.montecarlo as montecarlo
+
+    monkeypatch.setattr(montecarlo, "_SHOT_CHUNK", 7)
+    compile_sequence.cache_clear()
+    estimate_probabilities(_cfg(p=0.3, decoherence_enabled=True), 15, seed=9)
+    # three passes of the three settings, one compile per setting
+    assert compile_sequence.cache_info().misses == 3
+
+
 @pytest.mark.parametrize("stream", [0, 65])
 @pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1, 2**64 + 5, 2**128 - 1])
 def test_shot_uniforms_match_numpy_philox_streams(seed, stream):
