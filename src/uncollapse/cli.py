@@ -89,7 +89,7 @@ class SweepSpec:
             if value <= previous:
                 raise ConfigError("p_grid must be strictly increasing")
             previous = value
-        # a shot index must fit the 64-bit counter word of its stream
+        # a shot index is a 64-bit word: a stream holds 2**64 shots
         if not 1 <= self.shots <= 2**64:
             raise ConfigError(f"shots {self.shots} outside [1, 2**64]")
         if not 0 <= self.seed < 2**128:

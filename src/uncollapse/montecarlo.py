@@ -7,9 +7,10 @@ normalized Pauli vector r of its branch history, held once per distinct
 history; at a stochastic operation the shot takes the event when its
 uniform falls below (A1 r)[0] and goes on from the branch it took.
 
-Randomness is counter based.  Shot ``k`` of stream ``j`` draws its
-uniforms from Philox4x64-10 keyed by the master seed with counter block
-(j, k), so results are bit-identical no matter how shots are batched or
+Randomness is counter based.  Stream ``j`` is numpy's Philox4x64-10 keyed
+by the master seed with counter (0, 0, j, 0), and shot ``k`` of a stream
+that takes ``B`` blocks per shot reads its blocks ``k*B + 1 ... k*B + B``,
+so results are bit-identical no matter how shots are batched or
 distributed across workers.  Stream indices 0, 1, 2 belong to the x, y, z
 tomography settings; pipelines that need several independent batches
 (several probes, several sweep points) offset the stream index.
@@ -30,19 +31,10 @@ from .protocol import (
 )
 from .tomography import TOMO_SETTINGS, TomographyRecord, with_tomography
 
-# Philox4x64-10 (Salmon, Moraes, Dror & Shaw, SC'11), as numpy's Philox
-_PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)
-_PHILOX_M1 = np.uint64(0xCA5A826395121157)
-_PHILOX_W0 = np.uint64(0x9E3779B97F4A7C15)
-_PHILOX_W1 = np.uint64(0xBB67AE8584CAA73B)
-_PHILOX_ROUNDS = 10
-_LOW32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
-_DOUBLE_SHIFT = np.uint64(11)
 _WORD = 1 << 64
 # shots per setting in one pass of estimate_probabilities, which samples the
 # three settings as one stack; the counter streams make the result
-# independent of it, and a pass this size keeps Philox's temporaries in cache
+# independent of it, and it bounds the memory one pass holds
 _SHOT_CHUNK = 1 << 11
 
 
@@ -78,30 +70,6 @@ def _draw_count(seq: PulseSequence, cfg: ExperimentConfig) -> int:
     return sum(op.event is not None for op in compile_sequence(seq, cfg))
 
 
-def _mulhilo(m: np.uint64, x):
-    """High and low 64-bit words of the 128-bit product ``m * x``, from
-    32-bit halves so that no partial product overflows."""
-    m_lo, m_hi = m & _LOW32, m >> _SHIFT32
-    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
-    low_low = m_lo * x_lo
-    cross = m_hi * x_lo + (low_low >> _SHIFT32)
-    carry = m_lo * x_hi + (cross & _LOW32)
-    high = m_hi * x_hi + (cross >> _SHIFT32) + (carry >> _SHIFT32)
-    return high, m * x
-
-
-def _philox4x64(c0, c1, c2, c3, k0: np.uint64, k1: np.uint64):
-    """Ten Philox rounds on broadcastable uint64 counter words."""
-    with np.errstate(over="ignore"):
-        for _ in range(_PHILOX_ROUNDS):
-            hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
-            hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
-            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-            k0 = k0 + _PHILOX_W0
-            k1 = k1 + _PHILOX_W1
-    return c0, c1, c2, c3
-
-
 def _shot_uniforms(
     master_seed: int,
     stream_index,
@@ -111,14 +79,15 @@ def _shot_uniforms(
 ) -> np.ndarray:
     """Per-shot uniform variates from counter-based streams.
 
-    Row ``i`` equals ``Generator(Philox(key=master_seed, counter=[0, 0,
-    stream_index, shot_start + i])).random(n_draws)``: block ``b = 1, 2, ...``
-    of a shot is Philox4x64-10 of the counter (b, 0, stream, shot) under
-    the key (seed mod 2**64, seed >> 64), its four words are used in order,
-    and a word ``w`` becomes the double ``(w >> 11) * 2**-53``.
+    With ``B = ceil(n_draws / 4)``, the rows of a stream are
+    ``Generator(Philox(key=master_seed, counter=shot_start * B +
+    (stream_index << 128))).random((n_shots, 4 * B))[:, :n_draws]``: shot
+    ``k`` of stream ``j`` reads Philox4x64-10 blocks ``k*B + 1 ... k*B + B``
+    of the counter (word 0, word 1, j, 0) under the key (seed mod 2**64,
+    seed >> 64), its four words in order, each word ``w`` as the double
+    ``(w >> 11) * 2**-53``.  Any split of the shots gives the same rows.
     ``stream_index`` may also be a tuple of stream indices; the ``n_shots``
-    rows of each stream then follow one another in the tuple's order.  Every
-    stream, shot and block of the call is computed in one pass.
+    rows of each stream then follow one another in the tuple's order.
     """
     streams = stream_index if isinstance(stream_index, tuple) else (stream_index,)
     if not 0 <= master_seed < 2**128:
@@ -130,19 +99,16 @@ def _shot_uniforms(
         raise DomainError("shot indices must lie in [0, 2**64)")
     if n_draws < 0:
         raise DomainError("the number of draws cannot be negative")
+    # imported at first use: the exact engine never loads numpy.random
+    from numpy.random import Generator, Philox
+
     n_blocks = -(-n_draws // 4)
-    blocks = np.arange(1, n_blocks + 1, dtype=np.uint64)
-    shots = (np.uint64(shot_start) + np.arange(n_shots, dtype=np.uint64))[:, None]
-    words = _philox4x64(
-        blocks,
-        np.uint64(0),
-        np.array(streams, dtype=np.uint64)[:, None, None],
-        shots,
-        np.uint64(master_seed & (_WORD - 1)),
-        np.uint64(master_seed >> 64),
-    )
-    stacked = np.stack(words, axis=-1).reshape(len(streams) * n_shots, 4 * n_blocks)
-    return (stacked[:, :n_draws] >> _DOUBLE_SHIFT).astype(np.float64) * 2.0**-53
+    rows = [
+        Generator(Philox(key=master_seed, counter=shot_start * n_blocks + (stream << 128)))
+        .random((n_shots, 4 * n_blocks))[:, :n_draws]
+        for stream in streams
+    ]
+    return np.concatenate(rows) if rows else np.empty((0, n_draws))
 
 
 def _apply(r, member, ops, pick):

@@ -534,6 +534,20 @@ def test_console_entry_point_is_installed(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def test_exact_commands_never_load_numpy_random(tmp_path):
+    # the Monte Carlo imports numpy.random at its first draw, so exact runs
+    # start without loading it
+    script = (
+        "import sys\n"
+        "from uncollapse.cli import main\n"
+        "for command in ('collapse', 'uncollapse', 'qpt'):\n"
+        "    assert main([command, '--out', command + '.csv']) == 0\n"
+        "assert 'numpy.random' not in sys.modules, 'an exact run loaded numpy.random'\n"
+    )
+    run = _run_python(["-c", script], tmp_path)
+    assert run.returncode == 0, run.stderr
+
+
 @pytest.mark.skipif(not _is_installed("uncollapse"),
                     reason="distribution 'uncollapse' is not installed (PackageNotFoundError)")
 def test_console_script_on_path_when_installed():

@@ -24,7 +24,7 @@ CASES = {
         ["uncollapse", "--mode", "mc", "--no-decoherence", "--shots", "2000"],
         {"p_grid": MC_GRID, "seed": 12345},
         {
-            "out.csv": "1dcafe17c3db6721061822f1bcaa8c512f184397bafbfe5936a485b9f7a9ba20",
+            "out.csv": "56e6e78405157e34d524310b233d7da3d3df60c7da1b180512e752b047deefc5",
         },
     ),
     "qpt_mc_decohered": (
@@ -32,8 +32,8 @@ CASES = {
         # a seed above 2**64 also pins the high word of the Philox key
         {"p_grid": MC_GRID, "decoherence": True, "seed": 2**64 + 7},
         {
-            "out.csv": "f9b3786ee7eb15e8700408378c0cc21f23622aa4d377409568674310c7348bea",
-            "out_chi_p0.47.json": "e3793f88b0e73636c19172d9a26ec0ee1aa92b6afb03472b8c9453d4ebe01a5a",
+            "out.csv": "29265f037c813b3d9fffd9ce9adea40b802db90aaa64c18da3f883d8d4e2e4af",
+            "out_chi_p0.47.json": "92b66683326bffab1b3d791a2360dc4bde0b498c07556481343cb820ee92305f",
         },
     ),
     "collapse_exact": (
@@ -97,7 +97,7 @@ CASES = {
         ["uncollapse", "--mode", "mc", "--shots", "2000"],
         ZERO_WINDOWS,
         {
-            "out.csv": "8c31ee0d606aeed1a2ef212b9b5ba0a3ea01f4813f21379ab6db51704d15ffbf",
+            "out.csv": "3dea0e7eef72194d6205b53bb24870acbf5a3d21a1db47653b6d17a3c38cbfed",
         },
     ),
     "qpt_exact_zero_windows": (
@@ -114,7 +114,7 @@ CASES = {
         ["uncollapse", "--mode", "mc", "--shots", "4097"],
         {"p_grid": [0.25, 0.7], "decoherence": True, "seed": 4242},
         {
-            "out.csv": "259524ffff13a931a4b73258f309dcaa98434c454af6d372cba20268dc995ef1",
+            "out.csv": "c09a11a33294bddc27027d5435a618b12dbb10a29aa55a896a292309be88cf57",
         },
     ),
 }

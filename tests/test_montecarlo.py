@@ -63,14 +63,15 @@ def test_same_seed_is_bit_identical():
     assert a == b
 
 
-def test_partitioning_shots_does_not_change_outcomes():
-    # the per-shot counter streams make any worker split reassemble exactly
+@pytest.mark.parametrize("seed", [0, 2**64 + 5, 2**128 - 1])
+def test_partitioning_shots_does_not_change_outcomes(seed):
+    # the per-shot counter blocks make any worker split reassemble exactly
     cfg = _cfg(p=0.3)
     seq = with_tomography(build_uncollapse(cfg), "x", cfg.timing)
     n_draws = _draw_count(seq, cfg)
-    full = _shot_uniforms(123, 0, 0, 1000, n_draws)
+    full = _shot_uniforms(seed, 0, 0, 1000, n_draws)
     split = np.vstack(
-        [_shot_uniforms(123, 0, 0, 400, n_draws), _shot_uniforms(123, 0, 400, 600, n_draws)]
+        [_shot_uniforms(seed, 0, 0, 400, n_draws), _shot_uniforms(seed, 0, 400, 600, n_draws)]
     )
     assert np.array_equal(full, split)
     out_full = _run_batch(seq, cfg, full)
@@ -205,10 +206,20 @@ def test_estimate_compiles_each_setting_once(monkeypatch):
     assert compile_sequence.cache_info().misses == 3
 
 
+def _numpy_shot(seed, stream, shot, n_draws):
+    # shot k of stream j as its own numpy Philox4x64-10 generator: with B
+    # blocks per shot, counter words (k*B mod 2**64, k*B >> 64, j, 0); numpy
+    # turns a list counter holding a word >= 2**63 into floats, so the
+    # 256-bit counter is passed as one integer
+    n_blocks = -(-n_draws // 4)
+    bits = Philox(key=seed, counter=shot * n_blocks + (stream << 128))
+    return Generator(bits).random(4 * n_blocks)[:n_draws]
+
+
 @pytest.mark.parametrize("stream", [0, 65])
 @pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1, 2**64 + 5, 2**128 - 1])
 def test_shot_uniforms_match_numpy_philox_streams(seed, stream):
-    # the reference is numpy's own Philox4x64-10 stream, one generator per shot
+    # the reference is numpy's own Philox4x64-10, one generator per shot
     for shot_start in (0, 10**6):
         for n_shots in (1, 257):
             for n_draws in (0, 1, 3, 4, 5, 15, 16):
@@ -216,20 +227,19 @@ def test_shot_uniforms_match_numpy_philox_streams(seed, stream):
                 assert got.shape == (n_shots, n_draws)
                 assert got.dtype == np.float64
                 for i in sorted({0, 1, 128, n_shots - 1} & set(range(n_shots))):
-                    bits = Philox(key=seed, counter=[0, 0, stream, shot_start + i])
-                    want = Generator(bits).random(max(n_draws, 1))[:n_draws]
+                    want = _numpy_shot(seed, stream, shot_start + i, n_draws)
                     assert np.array_equal(got[i], want), (shot_start, n_shots, n_draws, i)
 
 
 def test_shot_uniforms_just_inside_every_limit():
-    # the largest seed, stream and shot index; numpy turns a list counter
-    # holding a word >= 2**63 into floats, so the reference takes the 256-bit
-    # counter as one integer: words (0, 0, j, k)
-    seed, stream, first = 2**128 - 1, 2**64 - 1, 2**64 - 2
-    got = _shot_uniforms(seed, stream, first, 2, 5)
-    for i in range(2):
-        counter = (stream << 128) | ((first + i) << 192)
-        assert np.array_equal(got[i], Generator(Philox(key=seed, counter=counter)).random(5))
+    # the largest seed, stream and shot index, where the first block k*B of
+    # a shot carries into counter word 1; and a shot whose two blocks
+    # straddle word 0's wrap, 2**64 - 1 then 2**64
+    seed, stream = 2**128 - 1, 2**64 - 1
+    for first in (2**64 - 2, 2**63 - 1):
+        got = _shot_uniforms(seed, stream, first, 2, 5)
+        for i in range(2):
+            assert np.array_equal(got[i], _numpy_shot(seed, stream, first + i, 5))
 
 
 @pytest.mark.parametrize(
