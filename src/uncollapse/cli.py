@@ -238,10 +238,15 @@ def cmd_uncollapse(sweep: SweepSpec, base: ExperimentConfig) -> list:
 def _output_paths(command: str, sweep: SweepSpec, out: str) -> list:
     """Every file ``command`` writes, in the order its texts come (the CSV,
     then for qpt one chi JSON per ``chi_p`` strength), each checked before
-    the run to be a file path in an existing directory."""
+    the run to be a file path in an existing directory.  Two ``chi_p``
+    strengths that print alike would share one file, so they are refused
+    for every command, as an out-of-range strength is."""
     stem = Path(out)
-    chi_p = sweep.chi_p if command == "qpt" else ()
-    paths = [stem] + [stem.with_name(f"{stem.stem}_chi_p{_fmt(p)}.json") for p in chi_p]
+    chi_paths = [stem.with_name(f"{stem.stem}_chi_p{_fmt(p)}.json") for p in sweep.chi_p]
+    for index, path in enumerate(chi_paths):
+        if path in chi_paths[:index]:
+            raise ConfigError(f"cannot write output: chi_p strengths that print alike share {path}")
+    paths = [stem] + (chi_paths if command == "qpt" else [])
     for path in paths:
         if path.is_dir():
             raise ConfigError(f"cannot write output: {path} is a directory")

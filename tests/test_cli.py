@@ -242,6 +242,8 @@ def test_bad_configs_exit_2(tmp_path):
         # flag text that is no number, or not an integer
         ({}, ["--shots", "abc"]),
         ({}, ["--seed", "1.5"]),
+        # two chi_p strengths that print alike would write one chi file
+        ({"chi_p": [0.47, 0.470000000000001]}, ["--mode", "mc"]),
     ],
 )
 @pytest.mark.parametrize("command", ["collapse", "uncollapse", "qpt"])
