@@ -248,9 +248,9 @@ def build_sequence(kind: str, cfg: ExperimentConfig) -> PulseSequence:
     return builders[kind](cfg)
 
 
-# A Monte Carlo estimate compiles its three settings once per pass, and a qpt
-# row holds 4 probes x 3 settings; sequences and configs hash, so the passes
-# after the first reuse the program, and a small LRU keeps a row's 12 live.
+# A Monte Carlo estimate compiles its three settings on every pass; sequences
+# and configs hash, so the passes after the first reuse the programs.  A sweep
+# does not return to a point, so a small LRU keeps the few live ones.
 @functools.lru_cache(maxsize=16)
 def compile_sequence(seq: PulseSequence, cfg: ExperimentConfig) -> tuple:
     """The sequence as TransferOps in order, run from r = (1, 0, 0, 0).
