@@ -117,6 +117,16 @@ CASES = {
             "out.csv": "c09a11a33294bddc27027d5435a618b12dbb10a29aa55a896a292309be88cf57",
         },
     ),
+    # 2,049 shots per probe and setting: each qpt row (the grid point, then
+    # the chi_p row) samples a full pass of 2,048 shots and a pass of one
+    "qpt_mc_pass_boundaries": (
+        ["qpt", "--mode", "mc", "--shots", "2049"],
+        {"p_grid": [0.3], "decoherence": True, "seed": 9090},
+        {
+            "out.csv": "99753a2f8291160cc6e78478ba8bf918e25d7defddab2486e0babee78053556b",
+            "out_chi_p0.47.json": "92a83e92fd02d56c5f088ae7580ca3b73ebdb19fadc3d931406dd410b1bd18a6",
+        },
+    ),
 }
 
 
