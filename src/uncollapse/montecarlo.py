@@ -16,7 +16,7 @@ tomography settings; pipelines that need several independent batches
 (several probes, several sweep points) offset the stream index.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,9 +32,9 @@ from .protocol import (
 from .tomography import TOMO_SETTINGS, TomographyRecord, with_tomography
 
 _WORD = 1 << 64
-# shots per setting in one pass of estimate_probabilities, which samples the
-# three settings as one stack; the counter streams make the result
-# independent of it, and it bounds the memory one pass holds
+# shots per stream in one pass of estimate_probabilities, which samples all
+# its streams (12 for a qpt row: about 3 MB of uniforms) into one buffer; the
+# counter streams make the result independent of it, and it bounds memory
 _SHOT_CHUNK = 1 << 11
 
 
@@ -87,7 +87,9 @@ def _shot_uniforms(
     seed >> 64), its four words in order, each word ``w`` as the double
     ``(w >> 11) * 2**-53``.  Any split of the shots gives the same rows.
     ``stream_index`` may also be a tuple of stream indices; the ``n_shots``
-    rows of each stream then follow one another in the tuple's order.
+    rows of each stream then follow one another in the tuple's order.  The
+    result is the first ``n_draws`` columns of one buffer of ``4 * B``
+    columns, a view that is not contiguous when ``n_draws % 4``.
     """
     streams = stream_index if isinstance(stream_index, tuple) else (stream_index,)
     if not 0 <= master_seed < 2**128:
@@ -103,12 +105,12 @@ def _shot_uniforms(
     from numpy.random import Generator, Philox
 
     n_blocks = -(-n_draws // 4)
-    rows = [
-        Generator(Philox(key=master_seed, counter=shot_start * n_blocks + (stream << 128)))
-        .random((n_shots, 4 * n_blocks))[:, :n_draws]
-        for stream in streams
-    ]
-    return np.concatenate(rows) if rows else np.empty((0, n_draws))
+    rows = np.empty((len(streams), n_shots, 4 * n_blocks))
+    for stream, out in zip(streams, rows):
+        counter = shot_start * n_blocks + (stream << 128)
+        Generator(Philox(key=master_seed, counter=counter)).random(out=out)
+    # both dimensions spelled out: reshape(-1, 0) cannot infer the rows
+    return rows.reshape(len(streams) * n_shots, 4 * n_blocks)[:, :n_draws]
 
 
 def _apply(r, member, ops, pick):
@@ -193,9 +195,9 @@ def _run_batch(seq, cfg: ExperimentConfig, uniforms: np.ndarray):
         table = np.zeros(len(occurs), dtype=np.intp)
         table[kept] = np.arange(0, 2 * len(kept), 2)
         pair_base = table[pair]
-    outcome_matrix = (
-        np.stack(outcomes, axis=1) if outcomes else np.zeros((len(detected), 0), dtype=bool)
-    )
+    # a (shots, measurements) view of the (measurements, shots) stack, so a
+    # reduction over a shot's measurements reads contiguous memory
+    outcome_matrix = np.stack(outcomes).T if outcomes else np.zeros((len(detected), 0), dtype=bool)
     return outcome_matrix, detected
 
 
@@ -223,32 +225,45 @@ def estimate_probabilities(
     seed: int,
     kind: str = "uncollapse",
     stream_base: int = 0,
-) -> EstimateSet:
+    initials=None,
+):
     """Estimate the tomography record from ``n_shots`` per setting.
 
     A detection at any point of a shot counts toward that setting's
     probability, matching what a threshold detector reports; the background
     is estimated from pre-analysis detections pooled over the three
-    settings.  Standard errors are sqrt(P(1-P)/n).  Shots are sampled in
-    chunks of at most ``_SHOT_CHUNK`` per setting, the three settings as one
-    stack, with the same result for any chunk size.
+    settings.  Standard errors are sqrt(P(1-P)/n).  Setting j draws stream
+    ``stream_base + j``.  With ``initials`` (PureStates), member ``3*i + j``
+    is initial i under setting j, drawn from stream ``stream_base + 3*i + j``,
+    and the result is a tuple of one EstimateSet per initial.  Each pass of
+    at most ``_SHOT_CHUNK`` shots per stream samples every member as one
+    stack, one ``_shot_uniforms`` buffer (a column slice of it) and one
+    ``_run_batch`` call, with the same result for any chunk size.
     """
     if n_shots < 1:
         raise DomainError("need at least one shot per setting")
-    base = build_sequence(kind, cfg)
-    seqs = tuple(with_tomography(base, setting, cfg.timing) for setting in TOMO_SETTINGS)
-    streams = tuple(stream_base + j for j in range(len(seqs)))
+    configs = (cfg,) if initials is None else tuple(replace(cfg, initial=s) for s in initials)
+    if not configs:
+        raise StructuralError("need at least one initial state")
+    bases = [build_sequence(kind, probe) for probe in configs]
+    seqs = tuple(with_tomography(b, s, cfg.timing) for b in bases for s in TOMO_SETTINGS)
+    streams = tuple(range(stream_base, stream_base + len(seqs)))
     n_draws = _draw_count(seqs[0], cfg)
-    clicks = [0] * len(seqs)
-    escape_total = 0
+    clicks = escapes = 0
     for start in range(0, n_shots, _SHOT_CHUNK):
         count = min(_SHOT_CHUNK, n_shots - start)
         uniforms = _shot_uniforms(seed, streams, start, count, n_draws)
         outcomes, detected = _run_batch(seqs, cfg, uniforms)
         escaped = outcomes.any(axis=1)
-        hits = np.count_nonzero((escaped | detected).reshape(len(seqs), count), axis=1)
-        clicks = [total + int(h) for total, h in zip(clicks, hits)]
-        escape_total += int(np.count_nonzero(escaped))
+        clicks += np.count_nonzero((escaped | detected).reshape(len(seqs), count), axis=1)
+        escapes += np.count_nonzero(escaped.reshape(len(seqs), count), axis=1)
+    # per initial: the three settings' counts, then the escapes they pool
+    counts = zip(clicks.reshape(-1, 3).tolist(), escapes.reshape(-1, 3).sum(axis=1).tolist())
+    estimates = tuple(_estimate(hits, pooled, n_shots) for hits, pooled in counts)
+    return estimates[0] if initials is None else estimates
+
+
+def _estimate(clicks: list, escape_total: int, n_shots: int) -> EstimateSet:
     probs = {setting: hits / n_shots for setting, hits in zip(TOMO_SETTINGS, clicks)}
     errors = {setting: float(np.sqrt(p * (1.0 - p) / n_shots)) for setting, p in probs.items()}
     pooled = 3 * n_shots

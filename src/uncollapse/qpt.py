@@ -16,7 +16,7 @@ reported through :func:`cp_diagnostics`, never repaired.
 """
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -152,19 +152,13 @@ def montecarlo_uncollapse_chi(
 ) -> ChiMatrix:
     """Process matrix of the reversal sequence from sampled counts.
 
-    Probe ``i`` draws from streams ``stream_base + 3*i + j`` (setting j), so
-    the result is reproducible and independent of how shots are batched, and
-    callers that need several matrices under one seed offset ``stream_base``
-    by 12 per matrix.
+    The four probes run as one estimate: probe ``i`` draws from streams
+    ``stream_base + 3*i + j`` (setting j), so the result is reproducible and
+    independent of how shots are batched, and callers that need several
+    matrices under one seed offset ``stream_base`` by 12 per matrix.
     """
-    outputs = []
-    for i, probe in enumerate(PROBE_STATES):
-        estimate = estimate_probabilities(
-            replace(cfg, initial=probe),
-            n_shots,
-            seed,
-            kind="uncollapse",
-            stream_base=stream_base + 3 * i,
-        )
-        outputs.append(bloch_reconstruct(estimate.record, cfg.device.visibility))
-    return qpt_reconstruct(ProbeSet(PROBE_STATES, tuple(outputs)))
+    estimates = estimate_probabilities(
+        cfg, n_shots, seed, kind="uncollapse", stream_base=stream_base, initials=PROBE_STATES
+    )
+    outputs = tuple(bloch_reconstruct(e.record, cfg.device.visibility) for e in estimates)
+    return qpt_reconstruct(ProbeSet(PROBE_STATES, outputs))

@@ -1,10 +1,13 @@
 """Shot sampling: convergence to the exact engine and seeding contract."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
 from uncollapse import (
+    PROBE_STATES,
     DomainError,
     ExperimentConfig,
     PartialMeasurement,
@@ -136,18 +139,20 @@ def _random_config(rng, i):
     )
 
 
-@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("stacked", [False, True, "probes"])
 def test_class_kernel_takes_every_decision_of_the_per_shot_kernel(stacked):
     # 60 random configs x collapse/uncollapse x x/y/z x 4,000 shots, as one
-    # call per setting or one stacked call per sequence kind
+    # call per setting, one stacked call per sequence kind, or ("probes") one
+    # call per kind that stacks the 4 qpt probes x 3 settings, as a qpt row
     rng = np.random.default_rng(2010)
     for i in range(60):
         cfg = _random_config(rng, i)
+        probes = PROBE_STATES if stacked == "probes" else (cfg.initial,)
         for kind in ("collapse", "uncollapse"):
-            base = build_sequence(kind, cfg)
-            seqs = tuple(with_tomography(base, s, cfg.timing) for s in TOMO_SETTINGS)
+            bases = [build_sequence(kind, replace(cfg, initial=probe)) for probe in probes]
+            seqs = tuple(with_tomography(b, s, cfg.timing) for b in bases for s in TOMO_SETTINGS)
             n_draws = _draw_count(seqs[0], cfg)
-            streams = tuple(int(j) for j in rng.integers(0, 2**63, 3))
+            streams = tuple(int(j) for j in rng.integers(0, 2**63, len(seqs)))
             uniforms = _shot_uniforms(i, streams, 0, 4000, n_draws)
             if stacked:
                 _assert_same_decisions(seqs, cfg, uniforms)

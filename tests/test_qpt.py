@@ -16,6 +16,7 @@ from uncollapse import (
     bloch_from_state,
     chi_apply,
     cp_diagnostics,
+    estimate_probabilities,
     exact_uncollapse_chi,
     montecarlo_uncollapse_chi,
     process_fidelity,
@@ -241,6 +242,39 @@ def test_exact_chi_compiles_once_and_checks_positivity_once(monkeypatch):
         compile_calls.clear()
         exact_uncollapse_chi(cfg)
         assert len(eigvalsh_calls) == 1 and len(compile_calls) == 1
+
+
+def test_sampled_chi_runs_each_pass_of_a_row_as_one_twelve_member_stack(monkeypatch):
+    import uncollapse.montecarlo as montecarlo
+    from dataclasses import replace
+
+    cfg = ExperimentConfig(PureState(1.0, 0.5), p=0.47, decoherence_enabled=True)
+    base = 36
+    # the reference: four one-probe estimates, probe i at stream_base b + 3 i
+    singles = tuple(
+        estimate_probabilities(replace(cfg, initial=probe), 15, seed=5, stream_base=base + 3 * i)
+        for i, probe in enumerate(PROBE_STATES)
+    )
+    outputs = tuple(bloch_reconstruct(e.record, cfg.device.visibility) for e in singles)
+    reference = qpt_reconstruct(ProbeSet(PROBE_STATES, outputs))
+    passes, kernels = [], []
+    shot_uniforms, run_batch = montecarlo._shot_uniforms, montecarlo._run_batch
+    monkeypatch.setattr(montecarlo, "_SHOT_CHUNK", 7)
+    monkeypatch.setattr(
+        montecarlo, "_shot_uniforms", lambda *a: passes.append(a[1:4]) or shot_uniforms(*a)
+    )
+    monkeypatch.setattr(
+        montecarlo, "_run_batch", lambda *a: kernels.append(len(a[0])) or run_batch(*a)
+    )
+    chi = montecarlo_uncollapse_chi(cfg, 15, seed=5, stream_base=base)
+    streams = tuple(range(base, base + 12))
+    assert passes == [(streams, 0, 7), (streams, 7, 7), (streams, 14, 1)]
+    assert kernels == [12, 12, 12]
+    assert (chi.matrix == reference.matrix).all()
+    stacked = estimate_probabilities(cfg, 15, seed=5, stream_base=base, initials=PROBE_STATES)
+    assert stacked == singles
+    with pytest.raises(StructuralError):
+        estimate_probabilities(cfg, 15, seed=5, initials=())
 
 
 def test_design_and_probe_checks_still_run_for_every_probe_tuple():
