@@ -245,11 +245,11 @@ def estimate_probabilities(
     configs = (cfg,) if initials is None else tuple(replace(cfg, initial=s) for s in initials)
     if not configs:
         raise StructuralError("need at least one initial state")
-    bases = [build_sequence(kind, probe) for probe in configs]
+    bases = [build_sequence(kind, c) for c in configs]
     seqs = tuple(with_tomography(b, s, cfg.timing) for b in bases for s in TOMO_SETTINGS)
     streams = tuple(range(stream_base, stream_base + len(seqs)))
     n_draws = _draw_count(seqs[0], cfg)
-    clicks = escapes = 0
+    clicks, escapes = np.zeros((2, len(seqs)), dtype=np.intp)
     for start in range(0, n_shots, _SHOT_CHUNK):
         count = min(_SHOT_CHUNK, n_shots - start)
         uniforms = _shot_uniforms(seed, streams, start, count, n_draws)

@@ -451,7 +451,7 @@ def _qpt_mc_streams(tmp_path, monkeypatch, seed):
     original = montecarlo._shot_uniforms
 
     def recording(master_seed, streams, *rest):
-        # each estimate samples its three settings' streams as one stack
+        # each pass samples a row's twelve streams (probes x settings) as one stack
         drawn.extend((master_seed, stream) for stream in streams)
         return original(master_seed, streams, *rest)
 
