@@ -258,7 +258,7 @@ def pure_dephasing_time(t1_ns: float, t2_ns: float) -> float:
     Returns infinity when T2 saturates the relaxation-limited bound 2*T1,
     meaning there is no pure dephasing at all.
     """
-    if t1_ns <= 0.0 or t2_ns <= 0.0:
+    if not (t1_ns > 0.0 and t2_ns > 0.0):
         raise DomainError("decay times must be positive")
     rate = 1.0 / t2_ns - 0.5 / t1_ns
     if rate <= 0.0:
@@ -277,7 +277,7 @@ class DecoherenceStep:
     def __post_init__(self):
         if not self.duration_ns >= 0.0:
             raise DomainError("duration must be nonnegative")
-        if self.t1_ns <= 0.0 or self.t_phi_ns <= 0.0:
+        if not (self.t1_ns > 0.0 and self.t_phi_ns > 0.0):
             raise DomainError("decay times must be positive")
 
     @classmethod

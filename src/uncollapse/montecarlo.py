@@ -4,8 +4,9 @@ Each shot follows one stochastic trajectory through the operations of
 :func:`protocol.compile_sequence`, the ones exact evolution runs, so the two
 engines agree in expectation by construction.  A shot's state is the
 normalized Pauli vector r of its branch history, held once per distinct
-history; at a stochastic operation the shot takes the event when its
-uniform falls below (A1 r)[0] and goes on from the branch it took.
+history in classes that are only appended; at a stochastic operation the
+shot takes the event when its uniform falls below (A1 r)[0] and goes on
+from the branch it took.  A stack of initials shares one compile per setting.
 
 Randomness is counter based.  Stream ``j`` is numpy's Philox4x64-10 keyed
 by the master seed with counter (0, 0, j, 0), and shot ``k`` of a stream
@@ -16,7 +17,7 @@ tomography settings; pipelines that need several independent batches
 (several probes, several sweep points) offset the stream index.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .protocol import (
     _UNIT_TRACE,
     ExperimentConfig,
     PulseSequence,
+    _prepare_op,
     build_sequence,
     compile_sequence,
 )
@@ -125,19 +127,21 @@ def _apply(r, member, ops, pick):
     return out
 
 
-def _run_batch(seq, cfg: ExperimentConfig, uniforms: np.ndarray):
+def _run_batch(seq, cfg: ExperimentConfig, uniforms: np.ndarray, initials=None):
     """Vectorized trajectory evolution for a batch of shots.
 
     ``seq`` is a PulseSequence, or a tuple of sequences that share one step
-    structure (the tomography settings of one sequence); the uniform rows
-    then split evenly among them in order.  Shots with the same branch
-    history hold the same normalized Pauli vector, so only the classes of
-    distinct histories carry states and each shot carries its class.  At a
+    structure (the tomography settings of one sequence).  ``initials``
+    (PureStates) replace the prepared state, member ``len(seq)*i + j`` being
+    initial i under sequence j.  The uniform rows split evenly among the
+    members in order.  Shots with the same branch history share one
+    normalized Pauli vector, their class's.  Classes are only appended: at a
     stochastic operation a shot takes the event when its uniform falls below
-    its class's event probability, and the (class, event) pairs that occur
-    become the next classes in order.  Class 0 gathers the escaped shots:
-    its event probability is 0 and its state the unit-trace r = (1, 0, 0, 0),
-    which no map empties.
+    its class's event probability, every class moves to its no-event branch
+    in place, the shots that escape join class 0, and the shots that take a
+    jump or a flip move to one new class per class they left.  Class 0, and
+    any class whose event is certain, holds the unit-trace r = (1, 0, 0, 0),
+    which no map empties, and class 0 never takes the event.
 
     Returns (outcomes, detected) where ``outcomes`` has shape
     (n_shots, n_partial_measurements), rows in the order of ``uniforms``.
@@ -147,19 +151,21 @@ def _run_batch(seq, cfg: ExperimentConfig, uniforms: np.ndarray):
     shapes = [[(op.event is None, op.effect) for op in ops] for ops in programs]
     if not seqs or any(shape != shapes[0] for shape in shapes):
         raise StructuralError("stacked sequences must share one step structure")
+    if initials is not None:
+        if not initials:
+            raise StructuralError("need at least one initial state")
+        programs = [(_prepare_op(s),) + ops[1:] for s in initials for ops in programs]
     # compiled maps are cached, so an op the members share is one object
-    steps = [ops[:1] if all(op is ops[0] for op in ops) else ops for ops in zip(*programs)]
+    steps = [ops[:1] if ops.count(ops[0]) == len(ops) else ops for ops in zip(*programs)]
     if uniforms.shape[1] != sum(ops[0].event is not None for ops in steps):
         raise StructuralError("uniform draw layout out of sync with the sequence")
-    if uniforms.shape[0] % len(seqs):
+    if uniforms.shape[0] % len(programs):
         raise StructuralError("uniform rows do not split evenly over the stacked sequences")
     # class 1 + m starts the shots of member m
-    member = np.arange(-1, len(seqs)).clip(0)
-    r = np.zeros((len(member), 4))
-    r[:, 0] = 1.0
-    # twice each shot's class: adding its event gives its (class, event) pair
-    pair_base = np.repeat(np.arange(2, 2 * len(member), 2), uniforms.shape[0] // len(seqs))
-    detected = np.zeros(len(pair_base), dtype=bool)
+    member = np.arange(-1, len(programs)).clip(0)
+    r = np.tile(_UNIT_TRACE, (len(member), 1))
+    shot_class = np.arange(1, len(member)).repeat(uniforms.shape[0] // len(programs))
+    detected = np.zeros(len(shot_class), dtype=bool)
     outcomes = []
     draws = iter(uniforms.T)
     for ops in steps:
@@ -169,34 +175,28 @@ def _run_batch(seq, cfg: ExperimentConfig, uniforms: np.ndarray):
         r[0] = _UNIT_TRACE
         prob = _apply(r, member, ops, lambda op: op.event[0])
         prob[0] = 0.0
-        event = next(draws) < prob.repeat(2)[pair_base]
-        # class 0 never takes the event, so an event is a live shot's
+        event = next(draws) < prob[shot_class]
+        if ops[0].effect == CLICK:  # compile puts the readout last
+            detected = event
+            continue
+        stay = _apply(r, member, ops, lambda op: op.no_event.T)
+        stay[~((prob < 1.0) & (stay[:, 0] > 0.0))] = _UNIT_TRACE
+        hit = event.nonzero()[0]
         if ops[0].effect == ESCAPE:
             outcomes.append(event)
-        elif ops[0].effect == CLICK:
-            detected = event
-        # the pairs that occur become the next classes in order; class 0
-        # stays first, and a shot that escapes joins it
-        pair = pair_base + event
-        occurs = np.bincount(pair, minlength=2 * len(r)) > 0
-        occurs[0] = True
-        if ops[0].effect == ESCAPE:
-            occurs[1::2] = False
-        kept = occurs.nonzero()[0]
-        branches = np.concatenate(
-            (
-                _apply(r, member, ops, lambda op: op.no_event.T),
-                _apply(r, member, ops, lambda op: op.event.T),
-            ),
-            axis=1,
-        ).reshape(-1, 4)[kept]
-        r = branches / branches[:, :1]
-        member = member[kept >> 1]
-        table = np.zeros(len(occurs), dtype=np.intp)
-        table[kept] = np.arange(0, 2 * len(kept), 2)
-        pair_base = table[pair]
-    # a (shots, measurements) view of the (measurements, shots) stack, so a
-    # reduction over a shot's measurements reads contiguous memory
+            shot_class[hit] = 0
+        else:
+            # each class a shot left gets one new class, numbered in order
+            left = shot_class[hit]
+            moved = np.zeros(len(r), dtype=np.intp)
+            moved[left] = 1
+            sources = moved.nonzero()[0]
+            shot_class[hit] = len(r) - 1 + moved.cumsum()[left]
+            jumped = _apply(r[sources], member[sources], ops, lambda op: op.event.T)
+            stay = np.concatenate((stay, jumped))
+            member = np.concatenate((member, member[sources]))
+        r = stay / stay[:, :1]
+    # a (shots, measurements) view of a (measurements, shots) stack: rows are contiguous
     outcome_matrix = np.stack(outcomes).T if outcomes else np.zeros((len(detected), 0), dtype=bool)
     return outcome_matrix, detected
 
@@ -235,28 +235,27 @@ def estimate_probabilities(
     settings.  Standard errors are sqrt(P(1-P)/n).  Setting j draws stream
     ``stream_base + j``.  With ``initials`` (PureStates), member ``3*i + j``
     is initial i under setting j, drawn from stream ``stream_base + 3*i + j``,
-    and the result is a tuple of one EstimateSet per initial.  Each pass of
-    at most ``_SHOT_CHUNK`` shots per stream samples every member as one
-    stack, one ``_shot_uniforms`` buffer (a column slice of it) and one
-    ``_run_batch`` call, with the same result for any chunk size.
+    and the result is a tuple of one EstimateSet per initial.  The three
+    settings compile once for any initials.  Each pass of at most
+    ``_SHOT_CHUNK`` shots per stream samples every member as one stack, one
+    ``_shot_uniforms`` buffer (a column slice of it) and one ``_run_batch``
+    call, with the same result for any chunk size.
     """
     if n_shots < 1:
         raise DomainError("need at least one shot per setting")
-    configs = (cfg,) if initials is None else tuple(replace(cfg, initial=s) for s in initials)
-    if not configs:
-        raise StructuralError("need at least one initial state")
-    bases = [build_sequence(kind, c) for c in configs]
-    seqs = tuple(with_tomography(b, s, cfg.timing) for b in bases for s in TOMO_SETTINGS)
-    streams = tuple(range(stream_base, stream_base + len(seqs)))
+    base = build_sequence(kind, cfg)
+    seqs = tuple(with_tomography(base, s, cfg.timing) for s in TOMO_SETTINGS)
+    members = len(seqs) * (1 if initials is None else len(initials))
+    streams = tuple(range(stream_base, stream_base + members))
     n_draws = _draw_count(seqs[0], cfg)
-    clicks, escapes = np.zeros((2, len(seqs)), dtype=np.intp)
+    clicks, escapes = np.zeros((2, members), dtype=np.intp)
     for start in range(0, n_shots, _SHOT_CHUNK):
         count = min(_SHOT_CHUNK, n_shots - start)
         uniforms = _shot_uniforms(seed, streams, start, count, n_draws)
-        outcomes, detected = _run_batch(seqs, cfg, uniforms)
+        outcomes, detected = _run_batch(seqs, cfg, uniforms, initials)
         escaped = outcomes.any(axis=1)
-        clicks += np.count_nonzero((escaped | detected).reshape(len(seqs), count), axis=1)
-        escapes += np.count_nonzero(escaped.reshape(len(seqs), count), axis=1)
+        clicks += np.count_nonzero((escaped | detected).reshape(members, count), axis=1)
+        escapes += np.count_nonzero(escaped.reshape(members, count), axis=1)
     # per initial: the three settings' counts, then the escapes they pool
     counts = zip(clicks.reshape(-1, 3).tolist(), escapes.reshape(-1, 3).sum(axis=1).tolist())
     estimates = tuple(_estimate(hits, pooled, n_shots) for hits, pooled in counts)

@@ -217,7 +217,7 @@ class DeviceParams:
 
     def __post_init__(self):
         for name in ("t1_ns", "t2_echo_ns", "t2_ramsey_ns"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise DomainError(f"{name} must be positive")
         if self.t2_echo_ns > 2.0 * self.t1_ns * (1.0 + EXACT_TOL):
             raise DomainError("t2_echo_ns cannot exceed 2*t1_ns")

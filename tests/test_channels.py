@@ -159,6 +159,16 @@ def test_decoherence_step_rejects_negative_and_nan_durations(duration):
         DecoherenceStep(duration, 450.0, 600.0)
 
 
+@pytest.mark.parametrize("time", [-1.0, 0.0, float("nan")])
+def test_decay_times_must_be_positive_numbers(time):
+    for t1, t2 in ((time, 350.0), (450.0, time)):
+        with pytest.raises(DomainError):
+            pure_dephasing_time(t1, t2)
+    for t1, t_phi in ((time, 600.0), (450.0, time)):
+        with pytest.raises(DomainError):
+            DecoherenceStep(10.0, t1, t_phi)
+
+
 def test_pure_dephasing_time_from_rate_subtraction():
     # 1/T2 = 1/(2 T1) + 1/T_phi
     t_phi = pure_dephasing_time(450.0, 350.0)

@@ -8,6 +8,7 @@ from numpy.random import Generator, Philox
 
 from uncollapse import (
     PROBE_STATES,
+    DeviceParams,
     DomainError,
     ExperimentConfig,
     PartialMeasurement,
@@ -16,6 +17,7 @@ from uncollapse import (
     PureState,
     RotationPulse,
     SequenceStep,
+    StructuralError,
     build_uncollapse,
     default_device,
     estimate_probabilities,
@@ -25,7 +27,7 @@ from uncollapse import (
     process_fidelity,
     sample_sequence,
 )
-from uncollapse.channels import CLICK, ESCAPE
+from uncollapse.channels import CLICK, ESCAPE, STAY
 from uncollapse.montecarlo import _draw_count, _run_batch, _shot_uniforms
 from uncollapse.protocol import (
     PARTIAL_MEASURE,
@@ -174,6 +176,76 @@ def test_class_kernel_keeps_escape_flags_past_64_measurements():
     assert outcomes[:, 64:].any()
     _assert_same_decisions(seqs, cfg, uniforms)
     _assert_same_decisions(seqs[0], cfg, uniforms[:2000])
+
+
+def _prepared(seq, initial):
+    return PulseSequence((replace(seq.steps[0], payload=initial),) + seq.steps[1:])
+
+
+def _settings_and_stack(cfg, kind="uncollapse", initials=PROBE_STATES):
+    # the three settings of one sequence, and the members an initials stack
+    # runs: initial i under setting j at 3 i + j
+    base = build_sequence(kind, cfg)
+    settings = tuple(with_tomography(base, s, cfg.timing) for s in TOMO_SETTINGS)
+    return settings, tuple(_prepared(seq, s) for s in initials for seq in settings)
+
+
+@pytest.mark.parametrize("decoherence", [False, True])
+def test_initials_stack_equals_the_stack_of_its_member_sequences(decoherence):
+    cfg = _cfg(p=0.47, decoherence_enabled=decoherence)
+    settings, members = _settings_and_stack(cfg)
+    uniforms = _shot_uniforms(3, tuple(range(12)), 0, 500, _draw_count(settings[0], cfg))
+    got = _run_batch(settings, cfg, uniforms, PROBE_STATES)
+    want = _run_batch(members, cfg, uniforms)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    _assert_same_decisions(members, cfg, uniforms)
+
+
+def test_initials_stack_checks_its_shape():
+    cfg = _cfg(p=0.47, decoherence_enabled=True)
+    settings, _ = _settings_and_stack(cfg)
+    n_draws = _draw_count(settings[0], cfg)
+    with pytest.raises(StructuralError):
+        _run_batch(settings, cfg, _shot_uniforms(3, (0, 1, 2), 0, 4, n_draws), ())
+    # 30 rows split over the 3 settings but not over 4 initials x 3 settings
+    uniforms = _shot_uniforms(3, (0, 1, 2), 0, 10, n_draws)
+    with pytest.raises(StructuralError):
+        _run_batch(settings, cfg, uniforms, PROBE_STATES)
+    _run_batch(settings, cfg, uniforms, PROBE_STATES[:1])
+
+
+# an event of probability exactly 1: a detection at p = 1 on |1>, escaping,
+# and a relaxation jump with T1 = 0.01 ns (gamma == 1.0 over a 10 ns step),
+# staying, from |1> right after the prepare step and after the pi pulse
+_CERTAIN = {
+    "escape": ExperimentConfig(PureState(np.pi, 0.0), p=1.0),
+    "stay": ExperimentConfig(
+        PureState(np.pi, 0.0),
+        p=0.3,
+        decoherence_enabled=True,
+        use_echo_t2=False,
+        device=DeviceParams(t1_ns=0.01, t2_echo_ns=0.02, t2_ramsey_ns=0.01),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CERTAIN))
+def test_certain_events_take_every_decision_of_the_per_shot_kernel(case):
+    cfg = _CERTAIN[case]
+    # the first stochastic operation, on the prepared |1>, is certain
+    ops = compile_sequence(build_uncollapse(cfg), cfg)
+    first = next(op for op in ops if op.event is not None)
+    assert first.effect == (ESCAPE if case == "escape" else STAY)
+    assert first.event[0] @ ops[0].no_event[:, 0] == 1.0
+    settings, members = _settings_and_stack(cfg)
+    n_draws = _draw_count(settings[0], cfg)
+    for seq in settings:
+        _assert_same_decisions(seq, cfg, _shot_uniforms(11, 0, 0, 300, n_draws))
+    uniforms = _shot_uniforms(11, tuple(range(12)), 0, 300, n_draws)
+    got = _run_batch(settings, cfg, uniforms, PROBE_STATES)
+    want = _run_batch(members, cfg, uniforms)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    _assert_same_decisions(members, cfg, uniforms)
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 + 5, 2**128 - 1])

@@ -263,13 +263,19 @@ def test_sampled_chi_runs_each_pass_of_a_row_as_one_twelve_member_stack(monkeypa
     monkeypatch.setattr(
         montecarlo, "_shot_uniforms", lambda *a: passes.append(a[1:4]) or shot_uniforms(*a)
     )
+    # a kernel call's members: its uniform rows over the pass's shots per stream
     monkeypatch.setattr(
-        montecarlo, "_run_batch", lambda *a: kernels.append(len(a[0])) or run_batch(*a)
+        montecarlo,
+        "_run_batch",
+        lambda *a: kernels.append((len(a[2]), a[3] == PROBE_STATES)) or run_batch(*a),
     )
+    compile_sequence.cache_clear()
     chi = montecarlo_uncollapse_chi(cfg, 15, seed=5, stream_base=base)
     streams = tuple(range(base, base + 12))
     assert passes == [(streams, 0, 7), (streams, 7, 7), (streams, 14, 1)]
-    assert kernels == [12, 12, 12]
+    assert kernels == [(12 * 7, True), (12 * 7, True), (12 * 1, True)]
+    # the row builds its sequence's three tomography settings and compiles each once
+    assert compile_sequence.cache_info().misses == 3
     assert (chi.matrix == reference.matrix).all()
     stacked = estimate_probabilities(cfg, 15, seed=5, stream_base=base, initials=PROBE_STATES)
     assert stacked == singles
