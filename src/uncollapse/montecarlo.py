@@ -139,9 +139,8 @@ def _run_batch(seq, cfg: ExperimentConfig, uniforms: np.ndarray, initials=None):
     stochastic operation a shot takes the event when its uniform falls below
     its class's event probability, every class moves to its no-event branch
     in place, the shots that escape join class 0, and the shots that take a
-    jump or a flip move to one new class per class they left.  Class 0, and
-    any class whose event is certain, holds the unit-trace r = (1, 0, 0, 0),
-    which no map empties, and class 0 never takes the event.
+    jump or a flip move to one new class per class they left.  Class 0
+    never takes the event and holds r = (1, 0, 0, 0), which no map empties.
 
     Returns (outcomes, detected) where ``outcomes`` has shape
     (n_shots, n_partial_measurements), rows in the order of ``uniforms``.
@@ -155,7 +154,7 @@ def _run_batch(seq, cfg: ExperimentConfig, uniforms: np.ndarray, initials=None):
         if not initials:
             raise StructuralError("need at least one initial state")
         programs = [(_prepare_op(s),) + ops[1:] for s in initials for ops in programs]
-    # compiled maps are cached, so an op the members share is one object
+    # compiled maps are cached, so a shared op is one object (ops compare by identity)
     steps = [ops[:1] if ops.count(ops[0]) == len(ops) else ops for ops in zip(*programs)]
     if uniforms.shape[1] != sum(ops[0].event is not None for ops in steps):
         raise StructuralError("uniform draw layout out of sync with the sequence")
@@ -179,6 +178,8 @@ def _run_batch(seq, cfg: ExperimentConfig, uniforms: np.ndarray, initials=None):
         if ops[0].effect == CLICK:  # compile puts the readout last
             detected = event
             continue
+        # a certain event leaves no shot in the no-event branch, whose trace
+        # is then 0 or roundoff: the class takes the unit trace instead
         stay = _apply(r, member, ops, lambda op: op.no_event.T)
         stay[~((prob < 1.0) & (stay[:, 0] > 0.0))] = _UNIT_TRACE
         hit = event.nonzero()[0]
