@@ -178,32 +178,35 @@ def test_class_kernel_keeps_escape_flags_past_64_measurements():
     _assert_same_decisions(seqs[0], cfg, uniforms[:2000])
 
 
-def _prepared(seq, initial):
-    return PulseSequence((replace(seq.steps[0], payload=initial),) + seq.steps[1:])
+def _settings(cfg):
+    base = build_uncollapse(cfg)
+    return tuple(with_tomography(base, s, cfg.timing) for s in TOMO_SETTINGS)
 
 
-def _settings_and_stack(cfg, kind="uncollapse", initials=PROBE_STATES):
-    # the three settings of one sequence, and the members an initials stack
-    # runs: initial i under setting j at 3 i + j
-    base = build_sequence(kind, cfg)
-    settings = tuple(with_tomography(base, s, cfg.timing) for s in TOMO_SETTINGS)
-    return settings, tuple(_prepared(seq, s) for s in initials for seq in settings)
-
-
-@pytest.mark.parametrize("decoherence", [False, True])
-def test_initials_stack_equals_the_stack_of_its_member_sequences(decoherence):
-    cfg = _cfg(p=0.47, decoherence_enabled=decoherence)
-    settings, members = _settings_and_stack(cfg)
-    uniforms = _shot_uniforms(3, tuple(range(12)), 0, 500, _draw_count(settings[0], cfg))
+def _assert_probe_stack_decides_as_its_members(settings, cfg, uniforms):
+    # member 3 i + j of the stack is setting j with probe i as its prepared state
+    members = tuple(
+        PulseSequence((replace(seq.steps[0], payload=probe),) + seq.steps[1:])
+        for probe in PROBE_STATES
+        for seq in settings
+    )
     got = _run_batch(settings, cfg, uniforms, PROBE_STATES)
     want = _run_batch(members, cfg, uniforms)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     _assert_same_decisions(members, cfg, uniforms)
 
 
+@pytest.mark.parametrize("decoherence", [False, True])
+def test_initials_stack_equals_the_stack_of_its_member_sequences(decoherence):
+    cfg = _cfg(p=0.47, decoherence_enabled=decoherence)
+    settings = _settings(cfg)
+    uniforms = _shot_uniforms(3, tuple(range(12)), 0, 500, _draw_count(settings[0], cfg))
+    _assert_probe_stack_decides_as_its_members(settings, cfg, uniforms)
+
+
 def test_initials_stack_checks_its_shape():
     cfg = _cfg(p=0.47, decoherence_enabled=True)
-    settings, _ = _settings_and_stack(cfg)
+    settings = _settings(cfg)
     n_draws = _draw_count(settings[0], cfg)
     with pytest.raises(StructuralError):
         _run_batch(settings, cfg, _shot_uniforms(3, (0, 1, 2), 0, 4, n_draws), ())
@@ -237,15 +240,12 @@ def test_certain_events_take_every_decision_of_the_per_shot_kernel(case):
     first = next(op for op in ops if op.event is not None)
     assert first.effect == (ESCAPE if case == "escape" else STAY)
     assert first.event[0] @ ops[0].no_event[:, 0] == 1.0
-    settings, members = _settings_and_stack(cfg)
+    settings = _settings(cfg)
     n_draws = _draw_count(settings[0], cfg)
     for seq in settings:
         _assert_same_decisions(seq, cfg, _shot_uniforms(11, 0, 0, 300, n_draws))
     uniforms = _shot_uniforms(11, tuple(range(12)), 0, 300, n_draws)
-    got = _run_batch(settings, cfg, uniforms, PROBE_STATES)
-    want = _run_batch(members, cfg, uniforms)
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-    _assert_same_decisions(members, cfg, uniforms)
+    _assert_probe_stack_decides_as_its_members(settings, cfg, uniforms)
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 + 5, 2**128 - 1])

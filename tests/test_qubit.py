@@ -191,7 +191,7 @@ def test_device_params_invariants():
 @pytest.mark.parametrize("time", [-1.0, 0.0, float("nan")])
 @pytest.mark.parametrize("name", ["t1_ns", "t2_echo_ns", "t2_ramsey_ns"])
 def test_device_decay_times_must_be_positive_numbers(name, time):
-    # NaN passes a "<= 0" check; it used to construct and fail deep in a run
+    # "not > 0", since NaN passes a "<= 0" check
     times = {"t1_ns": 450.0, "t2_echo_ns": 350.0, "t2_ramsey_ns": 120.0, name: time}
     with pytest.raises(DomainError, match=name):
         DeviceParams(**times)
