@@ -26,6 +26,7 @@ cache as read-only arrays.
 """
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,6 +148,8 @@ class PartialMeasurement:
     def __post_init__(self):
         if not -EXACT_TOL <= self.p <= 1.0 + EXACT_TOL:
             raise DomainError(f"measurement strength must lie in [0, 1], got {self.p}")
+        if not math.isfinite(self.phi_m):
+            raise DomainError(f"measurement phase must be finite, got {self.phi_m}")
         object.__setattr__(self, "p", float(min(max(self.p, 0.0), 1.0)))
         object.__setattr__(self, "phi_m", float(self.phi_m))
 
@@ -204,8 +207,10 @@ class RotationPulse:
         axis = np.array(self.axis, dtype=float)
         if axis.shape != (3,):
             raise DomainError("rotation axis must be a 3-vector")
-        if abs(np.linalg.norm(axis) - 1.0) > 1e-9:
+        if not abs(np.linalg.norm(axis) - 1.0) <= 1e-9:
             raise DomainError("rotation axis must have unit length")
+        if not math.isfinite(self.angle):
+            raise DomainError(f"rotation angle must be finite, got {self.angle}")
         object.__setattr__(self, "axis", tuple(axis.tolist()))
         object.__setattr__(self, "angle", float(self.angle))
 

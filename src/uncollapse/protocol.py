@@ -13,13 +13,13 @@ Two sequences are built here:
 :func:`compile_sequence` turns a sequence into the Pauli-transfer-matrix
 operations that both engines run; it is the one place that reads step
 kinds.  Within a step the instantaneous operation acts first and
-decoherence then runs for the step's duration.  Exact execution folds the
-in-well maps onto a stack, so several inputs of one sequence (the
-process-tomography probes) or several strengths of a sweep
-(:func:`fold_sweep`) share one compiled program and one fold: the null
-branch of each measurement drops the detected weight from the trace, so
-after the last step the trace is the success probability and ``escaped`` =
-1 - trace is the background probability of a pre-analysis detection.
+decoherence then runs for the step's duration.  Exact execution
+(:func:`fold`) folds the in-well maps onto a stack of strengths x inputs,
+so the strengths of a sweep and the process-tomography probes share one
+compiled program and one fold: the null branch of each measurement drops
+the detected weight from the trace, so after the last step the trace is the
+success probability and ``escaped`` = 1 - trace is the background
+probability of a pre-analysis detection.
 """
 
 import functools
@@ -162,6 +162,8 @@ class ExperimentConfig:
             raise DomainError(f"measurement strength must lie in [0, 1], got {self.p}")
         if not 0.0 <= self.pi_fraction * math.pi < math.inf:
             raise DomainError("pi_fraction must be nonnegative and give a finite recovery angle")
+        if not math.isfinite(self.phi_m_rate):
+            raise DomainError("phi_m_rate must be finite")
         if not math.isfinite(self.p_error_fraction) or self.p_error_fraction <= -1.0:
             raise DomainError("p_error_fraction must be a finite value above -1")
 
@@ -288,58 +290,39 @@ def _prepare_op(initial: PureState) -> TransferOp:
     return TransferOp(np.outer(state_from_angles(initial).pauli, _UNIT_TRACE))
 
 
-def fold_exact(
-    seq: PulseSequence, cfg: ExperimentConfig, initials: tuple | None = None
+def fold(
+    seq: PulseSequence, cfg: ExperimentConfig, initials: tuple | None = None, p_grid=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Evolve a stack of states through a sequence exactly, in one fold.
+    """Evolve a sequence exactly over strengths x initial states, in one fold.
 
-    The sequence compiles once.  ``initials`` (PureStates) replace its
-    prepared state, one stack member each; None runs the sequence as built,
-    a stack of one.  The in-well maps fold onto the (k, 4, 4) stack of
-    prepare maps in sequence order, and the results are validated together.
-    Returns the (k, 2, 2) conditional operators and the (k,) escaped
-    probabilities.
+    The sequence compiles once.  ``initials`` (k PureStates) replace its
+    prepared state and the n strengths of ``p_grid`` its partial
+    measurements, which must all be ``cfg``'s own; None keeps the
+    sequence's.  Member ``i*k + j`` is the sequence built at
+    ``cfg.at_strength(p_grid[i])`` run from ``initials[j]``: the grid's
+    (n, 1, 4, 4) null maps broadcast the (k, 4, 4) prepare maps to the
+    (n, k, 4, 4) stack, and one validation covers it.  Returns the (n*k, 2, 2)
+    conditional operators and the (n*k,) escaped probabilities.
     """
     ops = compile_sequence(seq, cfg)
-    if initials is None:
-        acc = ops[0].in_well[None]
-    else:
-        acc = np.stack([_prepare_op(initial).in_well for initial in initials])
-    for op in ops[1:]:
-        acc = op.in_well @ acc
-    return _close(acc)
-
-
-def fold_sweep(seq: PulseSequence, cfg: ExperimentConfig, p_grid) -> tuple[np.ndarray, np.ndarray]:
-    """Evolve one state through a sequence at every strength of ``p_grid``
-    exactly, in one fold.
-
-    Member i equals :func:`fold_exact` of the sequence built at
-    ``cfg.at_strength(p_grid[i])``.  The sequence, built at ``cfg``, compiles
-    once; its partial measurements, which must all be ``cfg``'s own, fold as
-    the grid's (n, 4, 4) stack of null maps and every other step as its
-    shared map.  Returns the (n, 2, 2) conditional operators and the (n,)
-    escaped probabilities.
-    """
-    ops = compile_sequence(seq, cfg)
-    own = PartialMeasurement(cfg.effective_p(), cfg.measurement_phase()).transfer()
-    swept = [op.effect == ESCAPE for op in ops]
-    if not any(swept) or any(
-        is_swept and not np.array_equal(op.no_event, own.no_event)
-        for op, is_swept in zip(ops, swept)
-    ):
-        raise StructuralError("a sweep needs partial measurements, all at the config's strength")
-    no_event, _ = measurement_maps(*cfg.grid_measurements(p_grid))
-    acc = ops[0].in_well[None]
-    for op, is_swept in zip(ops[1:], swept[1:]):
-        acc = (no_event if is_swept else op.in_well) @ acc
-    return _close(acc)
-
-
-def _close(acc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Conditional operators and escaped probabilities of the (k, 4, 4)
-    folded maps run from r = (1, 0, 0, 0), validated together."""
-    r = acc @ _UNIT_TRACE
+    maps = [op.in_well for op in ops]
+    if initials is not None:
+        if not initials:
+            raise StructuralError("need at least one initial state")
+        maps[0] = np.stack([_prepare_op(initial).in_well for initial in initials])
+    if p_grid is not None:
+        own = PartialMeasurement(cfg.effective_p(), cfg.measurement_phase()).transfer().no_event
+        measured = [op.no_event for op in ops if op.effect == ESCAPE]
+        if not measured or not all(np.array_equal(m, own) for m in measured):
+            raise StructuralError(
+                "a sweep needs partial measurements, all at the config's strength"
+            )
+        no_event = measurement_maps(*cfg.grid_measurements(p_grid))[0][:, None]
+        maps = [no_event if op.effect == ESCAPE else m for op, m in zip(ops, maps)]
+    acc = maps[0].reshape(-1, 4, 4)
+    for m in maps[1:]:
+        acc = m @ acc
+    r = acc.reshape(-1, 4, 4) @ _UNIT_TRACE
     # roundoff can leave the trace an ulp above 1 when nothing escaped
     escaped = np.maximum(1.0 - r[:, 0], 0.0)
     rho = operators_from_pauli(r)
@@ -347,15 +330,20 @@ def _close(acc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rho, escaped
 
 
+def fold_sweep(seq: PulseSequence, cfg: ExperimentConfig, p_grid) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`fold` of one state at every strength of ``p_grid``."""
+    return fold(seq, cfg, p_grid=p_grid)
+
+
 def run_exact(seq: PulseSequence, cfg: ExperimentConfig) -> RunOutcome:
     """Evolve the conditional state through a sequence exactly: the
-    one-member case of :func:`fold_exact`.
+    one-member case of :func:`fold`.
 
     A full_measure step is allowed only as a terminal marker; detection
     statistics for it come from the analysis forward model, not from this
     routine.
     """
-    rho, escaped = fold_exact(seq, cfg)
+    rho, escaped = fold(seq, cfg)
     state = QubitState(rho[0], escaped[0])
     return RunOutcome(
         conditional=state,

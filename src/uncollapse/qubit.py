@@ -22,6 +22,7 @@ Conventions, fixed once for the whole package:
   is a real 4x4 matrix on r.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,8 @@ class PureState:
     def __post_init__(self):
         if not 0.0 <= self.theta0 <= np.pi + EXACT_TOL:
             raise DomainError(f"polar angle must lie in [0, pi], got {self.theta0}")
+        if not math.isfinite(self.phi0):
+            raise DomainError(f"azimuth must be finite, got {self.phi0}")
         object.__setattr__(self, "theta0", float(min(self.theta0, np.pi)))
         object.__setattr__(self, "phi0", float(self.phi0) % TWO_PI)
 
@@ -122,8 +125,8 @@ def pauli_vectors(rho: np.ndarray) -> np.ndarray:
 
 def validate_states(rho: np.ndarray, escaped: np.ndarray, require_total: bool = True) -> None:
     """Check a (k, 2, 2) stack of conditional operators and their (k,)
-    escaped probabilities: hermiticity, positivity, and probability
-    bookkeeping.
+    escaped probabilities: finiteness, hermiticity, positivity, and
+    probability bookkeeping.
 
     ``require_total`` additionally demands trace(rho) + escaped == 1, which
     holds whenever detected weight is moved into ``escaped`` rather than
@@ -131,6 +134,9 @@ def validate_states(rho: np.ndarray, escaped: np.ndarray, require_total: bool = 
     in the order above, each over every member, and the first member that
     fails one names the error.
     """
+    escaped = np.asarray(escaped).tolist()
+    if not (np.isfinite(rho).all() and all(map(math.isfinite, escaped))):
+        raise DomainError("conditional state or escaped probability is not finite")
     adjoint = rho.conj().swapaxes(-1, -2)
     if (abs(rho - adjoint).reshape(-1, 4).max(axis=1) > EXACT_TOL).any():
         raise DomainError("density operator is not Hermitian")
@@ -141,7 +147,6 @@ def validate_states(rho: np.ndarray, escaped: np.ndarray, require_total: bool = 
     for tr in traces:
         if not -EXACT_TOL <= tr <= 1.0 + EXACT_TOL:
             raise DomainError(f"conditional trace {tr} outside [0, 1]")
-    escaped = np.asarray(escaped).tolist()
     for esc in escaped:
         if not -EXACT_TOL <= esc <= 1.0 + EXACT_TOL:
             raise DomainError(f"escaped probability {esc} outside [0, 1]")

@@ -49,9 +49,7 @@ from .protocol import (
     RunOutcome,
     SequenceStep,
     build_sequence,
-    build_uncollapse,
-    fold_exact,
-    fold_sweep,
+    fold,
     run_exact,
 )
 from .qubit import TRACE_FLOOR, BlochVector, DeviceParams, QubitState, pauli_vectors
@@ -213,20 +211,18 @@ def exact_tomography_record(
 
 def exact_tomography_records(cfg: ExperimentConfig, initials: tuple) -> list:
     """The records :func:`exact_tomography_record` gives on the reversal
-    sequence for each of ``initials`` in place of ``cfg.initial``, from one
-    compiled sequence, one fold and one forward-model pass over the stack of
-    states."""
-    rho, escaped = fold_exact(build_uncollapse(cfg), cfg, initials)
-    analysis = cfg.decoherence_for(cfg.timing.tomography_ns)
-    return _forward(pauli_vectors(rho), escaped, cfg.device, analysis)
+    sequence for each of ``initials`` in place of ``cfg.initial``."""
+    return exact_tomography_sweep(cfg, None, initials=initials)[0]
 
 
-def exact_tomography_sweep(cfg: ExperimentConfig, p_grid, kind: str = "uncollapse") -> tuple:
+def exact_tomography_sweep(
+    cfg: ExperimentConfig, p_grid, kind: str = "uncollapse", initials: tuple | None = None
+) -> tuple:
     """The records and success probabilities :func:`exact_tomography_record`
-    gives at ``cfg.at_strength(p)`` for every p of ``p_grid``, from one
-    compiled sequence, one fold and one forward-model pass over the grid.
-    Returns the list of records and the (n,) success probabilities."""
-    rho, escaped = fold_sweep(build_sequence(kind, cfg), cfg, p_grid)
+    gives at ``cfg.at_strength(p)`` for each p of ``p_grid`` (None: ``cfg.p``)
+    from each of ``initials`` (None: ``cfg.initial``), member ``i*k + j`` from
+    strength i and initial j, by one :func:`fold` and one forward pass."""
+    rho, escaped = fold(build_sequence(kind, cfg), cfg, initials, p_grid)
     analysis = cfg.decoherence_for(cfg.timing.tomography_ns)
-    records = _forward(pauli_vectors(rho), escaped, cfg.device, analysis)
-    return records, rho.trace(axis1=-2, axis2=-1).real
+    paulis = pauli_vectors(rho)
+    return _forward(paulis, escaped, cfg.device, analysis), paulis[:, 0]

@@ -128,6 +128,16 @@ def test_rotation_pulses_are_unitary_and_signed_correctly():
 def test_rotation_pulse_rejects_non_unit_axis():
     with pytest.raises(DomainError):
         RotationPulse((1.0, 1.0, 0.0), np.pi)
+    with pytest.raises(DomainError):
+        RotationPulse((np.nan, 0.0, 0.0), np.pi)
+
+
+def test_non_finite_angles_are_rejected_at_construction():
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError):
+            RotationPulse.about_x(value)
+        with pytest.raises(DomainError):
+            PartialMeasurement(0.3, value)
 
 
 def test_pi_rotation_about_x_flips_poles():

@@ -1,8 +1,11 @@
-"""Lint checks that need no linter: unused imports and unread constants.
+"""Lint checks that need no linter: unused imports, unread constants and
+stale cross-references.
 
-Both walk the syntax trees with ``ast``.  A name counts as read where it is
+They walk the syntax trees with ``ast``.  A name counts as read where it is
 loaded (``name``) or looked up as an attribute (``module.name``); binding it
-by an import or an assignment does not count.
+by an import or an assignment does not count.  A ``:func:`` or ``:meth:``
+reference resolves when the last part of its dotted name is a function or
+class defined in the package.
 """
 
 import ast
@@ -25,6 +28,7 @@ TRACER_IMPORTS = {
 }
 
 _CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+_REFERENCE = re.compile(r":(?:func|meth):`~?([\w.]+)`")
 
 
 def _tree(path: Path) -> ast.Module:
@@ -64,6 +68,15 @@ def _constants(tree: ast.Module) -> set:
     return names
 
 
+def _defined(tree: ast.AST) -> set:
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {node.name for node in ast.walk(tree) if isinstance(node, kinds)}
+
+
+def _unresolved(text: str, defined: set) -> set:
+    return {name for name in _REFERENCE.findall(text) if name.split(".")[-1] not in defined}
+
+
 def test_every_import_in_the_package_is_read():
     unused = set()
     for path in PACKAGE.glob("*.py"):
@@ -88,3 +101,20 @@ def test_the_checks_see_an_unused_import_and_an_unread_constant():
     tree = ast.parse("import os\nfrom math import pi, tau\nLIMIT = 3\n_USED = 2\nprint(tau * _USED)\n")
     assert _imported(tree) - _reads(tree) == {"os", "pi"}
     assert _constants(tree) - _reads(tree) == {"LIMIT"}
+
+
+def test_every_docstring_reference_names_a_definition_in_the_package():
+    paths = list(PACKAGE.glob("*.py"))
+    defined = set().union(*(_defined(_tree(path)) for path in paths))
+    stale = {
+        (path.stem, name)
+        for path in paths
+        for name in _unresolved(path.read_text(encoding="utf-8"), defined)
+    }
+    assert not stale
+
+
+def test_the_reference_check_sees_a_stale_name():
+    defined = _defined(ast.parse("def fold(): pass\nclass Pulse:\n    def unitary(self): pass"))
+    text = "See :func:`fold`, :meth:`Pulse.unitary`, :func:`fold_exact`, :meth:`Pulse.kraus`."
+    assert _unresolved(text, defined) == {"fold_exact", "Pulse.kraus"}

@@ -1,9 +1,12 @@
 """Sequence construction and exact conditional evolution."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from uncollapse import (
+    PROBE_STATES,
     DomainError,
     ExperimentConfig,
     PartialMeasurement,
@@ -34,6 +37,8 @@ from uncollapse.protocol import (
     PREPARE,
     ROTATE,
     STEP_KINDS,
+    build_sequence,
+    fold,
     fold_sweep,
 )
 from uncollapse.tomography import with_tomography
@@ -143,6 +148,32 @@ def test_fold_sweep_structural_errors():
         fold_sweep(PulseSequence(mixed), cfg, grid)
     rho, escaped = fold_sweep(build_uncollapse(cfg), cfg, grid)
     assert rho.shape == (2, 2, 2) and escaped.shape == (2,)
+
+
+@pytest.mark.parametrize("kind", ["collapse", "uncollapse"])
+@pytest.mark.parametrize("decoherence", [False, True])
+def test_fold_over_strengths_and_probes_equals_one_fold_per_member(kind, decoherence):
+    # exactly equal, not close: member 4*i + j runs a one-member fold's arithmetic
+    rng = np.random.default_rng(1414)
+    for _ in range(6):
+        cfg = _cfg(
+            rng.uniform(0, np.pi),
+            rng.uniform(0, 2 * np.pi),
+            p=0.0,
+            decoherence_enabled=decoherence,
+            pi_fraction=rng.uniform(0.8, 1.1),
+            phi_m_rate=rng.uniform(0.0, 20.0),
+            p_error_fraction=rng.uniform(-0.1, 0.1),
+        )
+        grid = np.sort(rng.uniform(0.0, 0.95, int(rng.integers(1, 6)))).tolist()
+        rho, escaped = fold(build_sequence(kind, cfg), cfg, PROBE_STATES, grid)
+        assert rho.shape == (4 * len(grid), 2, 2) and escaped.shape == (4 * len(grid),)
+        for i, p in enumerate(grid):
+            for j, probe in enumerate(PROBE_STATES):
+                point = replace(cfg.at_strength(p), initial=probe)
+                one_rho, one_escaped = fold(build_sequence(kind, point), point)
+                assert (rho[4 * i + j] == one_rho[0]).all()
+                assert escaped[4 * i + j] == one_escaped[0]
 
 
 def test_run_batch_structural_errors():
@@ -358,6 +389,9 @@ def test_experiment_config_validation():
         _cfg(p=0.5, p_error_fraction=-1.0)
     with pytest.raises(DomainError):
         _cfg(p=0.5, p_error_fraction=float("nan"))
+    for rate in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError):
+            _cfg(p=0.5, phi_m_rate=rate)
 
 
 def test_at_strength_returns_adjusted_copy():

@@ -294,3 +294,11 @@ def test_design_and_probe_checks_still_run_for_every_probe_tuple():
     for _ in range(2):
         with pytest.raises(SingularInversionError):
             _design_matrix(degenerate)
+
+
+def test_both_engines_refuse_an_empty_stack_of_initial_states():
+    cfg = ExperimentConfig(PureState(1.0), p=0.3, decoherence_enabled=True)
+    with pytest.raises(StructuralError, match="need at least one initial state"):
+        exact_tomography_records(cfg, ())
+    with pytest.raises(StructuralError, match="need at least one initial state"):
+        estimate_probabilities(cfg, 10, 0, initials=())

@@ -34,6 +34,12 @@ def test_pure_state_rejects_bad_polar_angle():
         PureState(np.pi + 0.1)
 
 
+def test_pure_state_rejects_a_non_finite_azimuth():
+    for phi0 in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError):
+            PureState(1.0, phi0)
+
+
 def test_pure_state_reduces_azimuth():
     s = PureState(1.0, -np.pi / 2)
     assert abs(s.phi0 - 3 * np.pi / 2) < 1e-12
@@ -95,6 +101,9 @@ _FAULTY_MEMBERS = [
     (np.diag([0.3, 0.3]), -0.2, r"escaped probability -0\.2 outside \[0, 1\]"),
     (np.diag([0.4, 0.4]), 0.4, r"trace \+ escaped = 1\.2000000000000002 exceeds 1"),
     (np.diag([0.25, 0.25]), 0.3, r"trace \+ escaped = 0\.8 does not close to 1"),
+    # NaN would pass the hermiticity and positivity checks, so finiteness comes first
+    (np.array([[0.5, np.nan], [np.nan, 0.5]]), 0.0, r"is not finite"),
+    (np.diag([0.5, 0.5]), np.nan, r"is not finite"),
 ]
 
 
