@@ -165,8 +165,8 @@ class PartialMeasurement:
 
 # Serves reuse within one sweep point only: the reversal's two measurements
 # share (p, phi_m), and the Monte Carlo engine compiles each point once per
-# probe and setting.  A sweep does not return to a strength, so entries from
-# earlier points are dead and a small LRU keeps the few live ones.
+# setting.  A sweep does not return to a strength, so entries from earlier
+# points are dead and a small LRU keeps the few live ones.
 @functools.lru_cache(maxsize=16)
 def _measurement_transfer(m: PartialMeasurement, effect: str) -> TransferOp:
     no_event, event = measurement_maps(np.array([m.p]), np.array([m.phi_m]))

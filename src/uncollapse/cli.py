@@ -202,37 +202,26 @@ def _csv(header: list, rows: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sampled(sweep: SweepSpec, base: ExperimentConfig, kind: str):
-    """(record, success probability) per grid point, sampled as it is read."""
-    for row_index, p in enumerate(sweep.p_grid):
-        record = estimate_probabilities(
-            base.at_strength(p), sweep.shots, sweep.seed, kind=kind, stream_base=3 * row_index
-        ).record
-        yield record, 1.0 - record.p_b
-
-
-def _sweep_rows(sweep: SweepSpec, base: ExperimentConfig, kind: str) -> list:
+def cmd_sweep(sweep: SweepSpec, base: ExperimentConfig, kind: str) -> list:
     if sweep.mode == "exact":
         measured = zip(*exact_tomography_sweep(base, sweep.p_grid, kind))
     else:
-        measured = _sampled(sweep, base, kind)
+        # row r draws streams 3r ... 3r+2, one per tomography setting, and is
+        # sampled as it is read
+        records = (
+            estimate_probabilities(
+                base.at_strength(p), sweep.shots, sweep.seed, kind=kind, stream_base=3 * row_index
+            ).record
+            for row_index, p in enumerate(sweep.p_grid)
+        )
+        measured = ((record, 1.0 - record.p_b) for record in records)
     rows = []
     for p, (record, p_success) in zip(sweep.p_grid, measured):
         vec = bloch_reconstruct(record, base.device.visibility)
         theta, _ = polar_azimuth(vec)
         row = [p, record.p_x, record.p_y, record.p_z, record.p_b, vec.x, vec.y, vec.z, theta]
-        if kind == "uncollapse":
-            row.append(p_success)
-        rows.append(row)
-    return rows
-
-
-def cmd_collapse(sweep: SweepSpec, base: ExperimentConfig) -> list:
-    return [_csv(COLLAPSE_HEADER, _sweep_rows(sweep, base, "collapse"))]
-
-
-def cmd_uncollapse(sweep: SweepSpec, base: ExperimentConfig) -> list:
-    return [_csv(UNCOLLAPSE_HEADER, _sweep_rows(sweep, base, "uncollapse"))]
+        rows.append(row + [p_success] if kind == "uncollapse" else row)
+    return [_csv(UNCOLLAPSE_HEADER if kind == "uncollapse" else COLLAPSE_HEADER, rows)]
 
 
 def _output_paths(command: str, sweep: SweepSpec, out: str) -> list:
@@ -256,18 +245,17 @@ def _output_paths(command: str, sweep: SweepSpec, out: str) -> list:
 
 
 def cmd_qpt(sweep: SweepSpec, base: ExperimentConfig) -> list:
-    def chi_at(p: float, row_index: int):
+    chis = []
+    # row r of p_grid + chi_p draws streams 12r ... 12r+11 (probes x settings)
+    for row_index, p in enumerate(sweep.p_grid + sweep.chi_p):
         cfg = base.at_strength(p)
         if sweep.mode == "exact":
-            return exact_uncollapse_chi(cfg)
-        return montecarlo_uncollapse_chi(cfg, sweep.shots, sweep.seed, stream_base=12 * row_index)
-
-    rows = []
-    for row_index, p in enumerate(sweep.p_grid):
-        rows.append([p, process_fidelity(chi_at(p, row_index))])
+            chis.append(exact_uncollapse_chi(cfg))
+        else:
+            chis.append(montecarlo_uncollapse_chi(cfg, sweep.shots, sweep.seed, 12 * row_index))
+    rows = [[p, process_fidelity(chi)] for p, chi in zip(sweep.p_grid, chis)]
     texts = [_csv(QPT_HEADER, rows)]
-    for extra_index, p in enumerate(sweep.chi_p):
-        chi = chi_at(p, len(sweep.p_grid) + extra_index)
+    for p, chi in zip(sweep.chi_p, chis[len(sweep.p_grid):]):
         payload = {
             "p": float(_fmt(p)),
             "basis": list(PAULI_LABELS),
@@ -312,10 +300,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    handler = {"collapse": cmd_collapse, "uncollapse": cmd_uncollapse, "qpt": cmd_qpt}
     try:
         # every output is rendered before the first file is written
-        texts = handler[args.command](sweep, base)
+        texts = (cmd_qpt(sweep, base) if args.command == "qpt"
+                 else cmd_sweep(sweep, base, args.command))
         for path, text in zip(paths, texts, strict=True):
             path.write_text(text, newline="\n")
     except (SimulationError, FloatingPointError, np.linalg.LinAlgError) as exc:

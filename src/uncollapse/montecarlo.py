@@ -17,6 +17,7 @@ tomography settings; pipelines that need several independent batches
 (several probes, several sweep points) offset the stream index.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +95,10 @@ def _shot_uniforms(
     columns, a view that is not contiguous when ``n_draws % 4``.
     """
     streams = stream_index if isinstance(stream_index, tuple) else (stream_index,)
+    # numpy integers become Python ints, whose shifts and products cannot wrap
+    master_seed, shot_start, n_shots, n_draws, *streams = map(
+        operator.index, (master_seed, shot_start, n_shots, n_draws, *streams)
+    )
     if not 0 <= master_seed < 2**128:
         raise DomainError(f"seed {master_seed} outside [0, 2**128)")
     for stream in streams:

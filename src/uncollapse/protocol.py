@@ -167,12 +167,11 @@ class ExperimentConfig:
         if not math.isfinite(self.p_error_fraction) or self.p_error_fraction <= -1.0:
             raise DomainError("p_error_fraction must be a finite value above -1")
 
-    def effective_p(self) -> float:
-        """Strength the pulses actually realize, after calibration bias."""
-        return float(self.grid_measurements([self.p])[0][0])
-
-    def measurement_phase(self) -> float:
-        return float(self.grid_measurements([self.p])[1][0])
+    def measurement(self) -> PartialMeasurement:
+        """The partial measurement the pulses realize at ``p``: its strength
+        after calibration bias and its measurement phase."""
+        (p_real,), (phi_m,) = self.grid_measurements([self.p])
+        return PartialMeasurement(float(p_real), float(phi_m))
 
     def grid_measurements(self, p_grid) -> tuple[np.ndarray, np.ndarray]:
         """The strengths the pulses realize and the measurement phases of
@@ -213,32 +212,27 @@ class RunOutcome:
 def build_partial_collapse(cfg: ExperimentConfig) -> PulseSequence:
     """Prepare, then one partial measurement."""
     t = cfg.timing
-    measure = PartialMeasurement(cfg.effective_p(), cfg.measurement_phase())
     return PulseSequence(
         (
             SequenceStep(PREPARE, t.prepare_ns, cfg.initial),
-            SequenceStep(PARTIAL_MEASURE, t.measure_ns, measure),
+            SequenceStep(PARTIAL_MEASURE, t.measure_ns, cfg.measurement()),
         )
     )
 
 
 def build_uncollapse(cfg: ExperimentConfig) -> PulseSequence:
-    """Prepare, measure, pi-pulse about X, measure again.
+    """The partial collapse, then idle, pi-pulse about X and its measure
+    step again.
 
     ``pi_fraction`` scales the recovery pulse; 1.0 is the proper reversal
     sequence and other values model a deliberately wrong pulse.
     """
     t = cfg.timing
-    measure = PartialMeasurement(cfg.effective_p(), cfg.measurement_phase())
+    collapse = build_partial_collapse(cfg).steps
     pulse = RotationPulse.about_x(cfg.pi_fraction * np.pi)
     return PulseSequence(
-        (
-            SequenceStep(PREPARE, t.prepare_ns, cfg.initial),
-            SequenceStep(PARTIAL_MEASURE, t.measure_ns, measure),
-            SequenceStep(IDLE, t.idle_ns),
-            SequenceStep(ROTATE, t.pi_pulse_ns, pulse),
-            SequenceStep(PARTIAL_MEASURE, t.measure_ns, measure),
-        )
+        collapse
+        + (SequenceStep(IDLE, t.idle_ns), SequenceStep(ROTATE, t.pi_pulse_ns, pulse), collapse[-1])
     )
 
 
@@ -250,9 +244,9 @@ def build_sequence(kind: str, cfg: ExperimentConfig) -> PulseSequence:
     return builders[kind](cfg)
 
 
-# An estimate compiles each member of its stack (12 in a qpt row) on every
-# pass; sequences and configs hash, so the passes after the first reuse the
-# programs.  A sweep does not return to a point, so a small LRU suffices.
+# An estimate compiles its three tomography settings on every pass; sequences
+# and configs hash, so the passes after the first reuse the programs.  A sweep
+# does not return to a point, so a small LRU suffices.
 @functools.lru_cache(maxsize=16)
 def compile_sequence(seq: PulseSequence, cfg: ExperimentConfig) -> tuple:
     """The sequence as TransferOps in order, run from r = (1, 0, 0, 0).
@@ -311,7 +305,7 @@ def fold(
             raise StructuralError("need at least one initial state")
         maps[0] = np.stack([_prepare_op(initial).in_well for initial in initials])
     if p_grid is not None:
-        own = PartialMeasurement(cfg.effective_p(), cfg.measurement_phase()).transfer().no_event
+        own = cfg.measurement().transfer().no_event
         measured = [op.no_event for op in ops if op.effect == ESCAPE]
         if not measured or not all(np.array_equal(m, own) for m in measured):
             raise StructuralError(
@@ -328,11 +322,6 @@ def fold(
     rho = operators_from_pauli(r)
     validate_states(rho, escaped, require_total=True)
     return rho, escaped
-
-
-def fold_sweep(seq: PulseSequence, cfg: ExperimentConfig, p_grid) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`fold` of one state at every strength of ``p_grid``."""
-    return fold(seq, cfg, p_grid=p_grid)
 
 
 def run_exact(seq: PulseSequence, cfg: ExperimentConfig) -> RunOutcome:

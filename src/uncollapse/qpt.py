@@ -29,7 +29,7 @@ from .protocol import ExperimentConfig
 from .tomography import (  # noqa: F401
     bloch_reconstruct,
     exact_tomography_record,
-    exact_tomography_records,
+    exact_tomography_sweep,
 )
 
 PAULI_LABELS = ("I", "X", "Y", "Z")
@@ -139,12 +139,17 @@ def cp_diagnostics(chi: ChiMatrix) -> CpReport:
     )
 
 
+def _probe_chi(records, visibility: float) -> ChiMatrix:
+    """Process matrix from the tomography records of the four probes."""
+    outputs = tuple(bloch_reconstruct(record, visibility) for record in records)
+    return qpt_reconstruct(ProbeSet(PROBE_STATES, outputs))
+
+
 def exact_uncollapse_chi(cfg: ExperimentConfig) -> ChiMatrix:
     """Process matrix of the reversal sequence from exact evolution, with the
     four probes run as one stack through one compiled sequence."""
-    records = exact_tomography_records(cfg, PROBE_STATES)
-    outputs = tuple(bloch_reconstruct(record, cfg.device.visibility) for record in records)
-    return qpt_reconstruct(ProbeSet(PROBE_STATES, outputs))
+    records, _ = exact_tomography_sweep(cfg, None, initials=PROBE_STATES)
+    return _probe_chi(records, cfg.device.visibility)
 
 
 def montecarlo_uncollapse_chi(
@@ -160,5 +165,4 @@ def montecarlo_uncollapse_chi(
     estimates = estimate_probabilities(
         cfg, n_shots, seed, kind="uncollapse", stream_base=stream_base, initials=PROBE_STATES
     )
-    outputs = tuple(bloch_reconstruct(e.record, cfg.device.visibility) for e in estimates)
-    return qpt_reconstruct(ProbeSet(PROBE_STATES, outputs))
+    return _probe_chi([e.record for e in estimates], cfg.device.visibility)

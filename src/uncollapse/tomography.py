@@ -154,6 +154,8 @@ def bloch_reconstruct(t: TomographyRecord, visibility: float = 1.0) -> BlochVect
     Sampled records may land slightly outside the unit ball, which is
     deliberately not repaired here.
     """
+    if not 0.0 < visibility <= 1.0:
+        raise DomainError(f"readout visibility must lie in (0, 1], got {visibility}")
     if t.p_b >= 1.0 - 1e-12:
         raise DegenerateBackgroundError("background probability too close to 1")
     scale = 1.0 / (1.0 - t.p_b)
@@ -207,12 +209,6 @@ def exact_tomography_record(
         tomo_decoherence=cfg.decoherence_for(cfg.timing.tomography_ns),
     )
     return record, outcome
-
-
-def exact_tomography_records(cfg: ExperimentConfig, initials: tuple) -> list:
-    """The records :func:`exact_tomography_record` gives on the reversal
-    sequence for each of ``initials`` in place of ``cfg.initial``."""
-    return exact_tomography_sweep(cfg, None, initials=initials)[0]
 
 
 def exact_tomography_sweep(

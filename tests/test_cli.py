@@ -444,19 +444,21 @@ def test_number_flags_are_read_as_numbers_and_checked_like_the_file(tmp_path):
         assert main(["uncollapse", "--config", cfg, "--out", str(tmp_path / "x.csv"), *flags]) == 0
 
 
-def _qpt_mc_streams(tmp_path, monkeypatch, seed):
+def _mc_streams(tmp_path, monkeypatch, seed, command="qpt"):
     import uncollapse.montecarlo as montecarlo
 
     drawn = []
     original = montecarlo._shot_uniforms
 
     def recording(master_seed, streams, *rest):
-        # each pass samples a row's twelve streams (probes x settings) as one stack
+        # each pass samples a row's streams as one stack: twelve for qpt
+        # (probes x settings), three for a sweep
         drawn.extend((master_seed, stream) for stream in streams)
         return original(master_seed, streams, *rest)
 
-    cfg = _write_config(tmp_path, f"qpt{seed}.json", p_grid=[0.1, 0.5], chi_p=[0.3], shots=5)
-    argv = ["qpt", "--config", cfg, "--out", str(tmp_path / f"qpt{seed}.csv"), "--mode", "mc"]
+    name = f"{command}{seed}"
+    cfg = _write_config(tmp_path, f"{name}.json", p_grid=[0.1, 0.5], chi_p=[0.3], shots=5)
+    argv = [command, "--config", cfg, "--out", str(tmp_path / f"{name}.csv"), "--mode", "mc"]
     with monkeypatch.context() as patch:
         patch.setattr(montecarlo, "_shot_uniforms", recording)
         assert main(argv + ["--seed", str(seed)]) == 0
@@ -465,11 +467,16 @@ def _qpt_mc_streams(tmp_path, monkeypatch, seed):
 
 def test_qpt_mc_neighbouring_seeds_draw_disjoint_streams(tmp_path, monkeypatch):
     # row r, probe i, setting j draws stream 12 r + 3 i + j under the fixed seed
-    seven = _qpt_mc_streams(tmp_path, monkeypatch, 7)
-    eight = _qpt_mc_streams(tmp_path, monkeypatch, 8)
+    seven = _mc_streams(tmp_path, monkeypatch, 7)
+    eight = _mc_streams(tmp_path, monkeypatch, 8)
     assert seven == [(7, stream) for stream in range(36)]
     assert len(set(eight)) == len(eight) == 36
     assert not set(seven) & set(eight)
+
+
+def test_sampled_uncollapse_row_r_draws_streams_3r_to_3r_plus_2(tmp_path, monkeypatch):
+    # row r, setting j draws stream 3 r + j under the fixed seed
+    assert _mc_streams(tmp_path, monkeypatch, 7, "uncollapse") == [(7, s) for s in range(6)]
 
 
 def test_qpt_mc_runs_at_the_largest_seed(tmp_path):

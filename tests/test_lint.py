@@ -1,5 +1,5 @@
-"""Lint checks that need no linter: unused imports, unread constants and
-stale cross-references.
+"""Lint checks that need no linter: unused imports, unread constants, unused
+definitions and stale cross-references.
 
 They walk the syntax trees with ``ast``.  A name counts as read where it is
 loaded (``name``) or looked up as an attribute (``module.name``); binding it
@@ -73,6 +73,19 @@ def _defined(tree: ast.AST) -> set:
     return {node.name for node in ast.walk(tree) if isinstance(node, kinds)}
 
 
+def _unused_definitions(trees: dict) -> set:
+    """(module, name) of each top-level def or class of ``trees`` (module stem
+    -> tree) that no module reads and ``__init__`` does not export."""
+    used = _imported(trees["__init__"]).union(*map(_reads, trees.values()))
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {
+        (stem, node.name)
+        for stem, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, kinds) and node.name not in used
+    }
+
+
 def _unresolved(text: str, defined: set) -> set:
     return {name for name in _REFERENCE.findall(text) if name.split(".")[-1] not in defined}
 
@@ -101,6 +114,16 @@ def test_the_checks_see_an_unused_import_and_an_unread_constant():
     tree = ast.parse("import os\nfrom math import pi, tau\nLIMIT = 3\n_USED = 2\nprint(tau * _USED)\n")
     assert _imported(tree) - _reads(tree) == {"os", "pi"}
     assert _constants(tree) - _reads(tree) == {"LIMIT"}
+
+
+def test_every_top_level_definition_is_read_or_exported():
+    assert not _unused_definitions({path.stem: _tree(path) for path in PACKAGE.glob("*.py")})
+
+
+def test_the_definition_check_sees_an_unused_function_and_class():
+    core = "def run():\n    return _step()\ndef _step(): pass\ndef fold_sweep(): pass\nclass Old: pass\n"
+    trees = {"__init__": ast.parse("from .core import run\n"), "core": ast.parse(core)}
+    assert _unused_definitions(trees) == {("core", "fold_sweep"), ("core", "Old")}
 
 
 def test_every_docstring_reference_names_a_definition_in_the_package():

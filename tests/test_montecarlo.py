@@ -339,6 +339,30 @@ def test_shot_uniforms_reject_out_of_range_counters(args):
         _shot_uniforms(*args)
 
 
+def test_numpy_integers_draw_the_rows_of_the_python_ints_they_equal():
+    # numpy scalars once wrapped in the stream shift, drawing stream 0 for 1
+    cfg = _cfg(p=0.45)
+    seq = with_tomography(build_uncollapse(cfg), "y", cfg.timing)
+    want = [sample_sequence(seq, cfg, 7, stream_index=1, shot_index=k) for k in range(32)]
+    for kind in (np.int64, np.uint64):
+        got = [sample_sequence(seq, cfg, kind(7), kind(1), kind(k)) for k in range(32)]
+        assert [(g.outcomes, g.final_detected) for g in got] == [
+            (w.outcomes, w.final_detected) for w in want
+        ]
+        assert np.array_equal(
+            _shot_uniforms(kind(7), kind(1), kind(0), kind(3), kind(5)),
+            _shot_uniforms(7, 1, 0, 3, 5),
+        )
+        # a shot index near 2**63 once overflowed the counter product
+        assert np.array_equal(
+            _shot_uniforms(kind(2), (kind(0), kind(65)), kind(2**62), kind(4), kind(7)),
+            _shot_uniforms(2, (0, 65), 2**62, 4, 7),
+        )
+    for args in ((7.0, 0, 0, 1, 3), (7, (0, 1.0), 0, 1, 3), (7, 0, 0, 1, 3.0)):
+        with pytest.raises(TypeError):
+            _shot_uniforms(*args)
+
+
 def test_single_shot_api_matches_batch_sampling():
     cfg = _cfg(p=0.45)
     seq = with_tomography(build_uncollapse(cfg), "y", cfg.timing)

@@ -39,7 +39,6 @@ from uncollapse.protocol import (
     STEP_KINDS,
     build_sequence,
     fold,
-    fold_sweep,
 )
 from uncollapse.tomography import with_tomography
 
@@ -53,6 +52,18 @@ def test_default_timing_totals_44_ns():
     cfg = _cfg(p=0.5)
     assert with_tomography(build_uncollapse(cfg), "z", t).total_duration_ns == 44.0
     assert build_uncollapse(cfg).total_duration_ns == 34.0  # analysis pulse excluded
+
+
+def test_reversal_is_the_collapse_then_idle_pulse_and_its_measure_step_again():
+    cfg = _cfg(1.1, 0.4, p=0.37, pi_fraction=0.9, p_error_fraction=0.03)
+    t = cfg.timing
+    collapse = build_partial_collapse(cfg).steps
+    assert collapse[-1] == SequenceStep(PARTIAL_MEASURE, t.measure_ns, cfg.measurement())
+    assert build_uncollapse(cfg).steps == collapse + (
+        SequenceStep(IDLE, t.idle_ns),
+        SequenceStep(ROTATE, t.pi_pulse_ns, RotationPulse.about_x(0.9 * np.pi)),
+        collapse[-1],
+    )
 
 
 def test_sequence_step_kind_and_duration_checks():
@@ -132,7 +143,7 @@ def test_fold_sweep_structural_errors():
     grid = [0.1, 0.2]
     for seq in MALFORMED_SEQUENCES:
         with pytest.raises(StructuralError):
-            fold_sweep(seq, cfg, grid)
+            fold(seq, cfg, p_grid=grid)
     unmeasured = PulseSequence(
         (
             SequenceStep(PREPARE, 10.0, PureState(1.0)),
@@ -142,11 +153,11 @@ def test_fold_sweep_structural_errors():
     # no measurement to sweep, or one the grid cannot stand in for
     for seq in (unmeasured, build_uncollapse(cfg.at_strength(0.5))):
         with pytest.raises(StructuralError):
-            fold_sweep(seq, cfg, grid)
+            fold(seq, cfg, p_grid=grid)
     mixed = build_uncollapse(cfg).steps[:-1] + build_uncollapse(cfg.at_strength(0.5)).steps[-1:]
     with pytest.raises(StructuralError):
-        fold_sweep(PulseSequence(mixed), cfg, grid)
-    rho, escaped = fold_sweep(build_uncollapse(cfg), cfg, grid)
+        fold(PulseSequence(mixed), cfg, p_grid=grid)
+    rho, escaped = fold(build_uncollapse(cfg), cfg, p_grid=grid)
     assert rho.shape == (2, 2, 2) and escaped.shape == (2,)
 
 
@@ -369,7 +380,7 @@ def test_decoherence_degrades_recovery_monotonically():
 def test_strength_calibration_bias_shifts_the_realized_strength():
     f = 0.05
     cfg = _cfg(np.pi / 2, 0.0, p=0.4, p_error_fraction=f)
-    assert abs(cfg.effective_p() - 0.42) < 1e-15
+    assert abs(cfg.measurement().p - 0.42) < 1e-15
     col = run_exact(build_partial_collapse(cfg), cfg)
     theta, _ = polar_azimuth(bloch_from_state(col.conditional.normalized()))
     assert abs(theta - theory_polar_angle("collapse", np.pi / 2, 0.42)) < 1e-12
@@ -377,7 +388,7 @@ def test_strength_calibration_bias_shifts_the_realized_strength():
     # default off reproduces the nominal dial exactly
     assert abs(success_probability(_cfg(np.pi / 2, 0.0, p=0.4)) - 0.6) < 1e-15
     # biased strength clips at 1
-    assert ExperimentConfig(PureState(0.3), p=0.99, p_error_fraction=0.05).effective_p() == 1.0
+    assert ExperimentConfig(PureState(0.3), p=0.99, p_error_fraction=0.05).measurement().p == 1.0
 
 
 def test_experiment_config_validation():

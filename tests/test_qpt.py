@@ -29,7 +29,7 @@ from uncollapse.qubit import default_device
 from uncollapse.tomography import (
     bloch_reconstruct,
     exact_tomography_record,
-    exact_tomography_records,
+    exact_tomography_sweep,
 )
 
 SIGMA = (
@@ -223,7 +223,7 @@ def test_stacked_chi_equals_the_per_probe_reference():
             initial = PureState(rng.uniform(0, np.pi), rng.uniform(0, 6))
             cfg = ExperimentConfig(initial, p, **options)
             records, reference = _per_probe_chi(cfg)
-            assert exact_tomography_records(cfg, PROBE_STATES) == records
+            assert exact_tomography_sweep(cfg, None, initials=PROBE_STATES)[0] == records
             assert np.array_equal(exact_uncollapse_chi(cfg).matrix, reference.matrix)
 
 
@@ -299,6 +299,6 @@ def test_design_and_probe_checks_still_run_for_every_probe_tuple():
 def test_both_engines_refuse_an_empty_stack_of_initial_states():
     cfg = ExperimentConfig(PureState(1.0), p=0.3, decoherence_enabled=True)
     with pytest.raises(StructuralError, match="need at least one initial state"):
-        exact_tomography_records(cfg, ())
+        exact_tomography_sweep(cfg, None, initials=())
     with pytest.raises(StructuralError, match="need at least one initial state"):
         estimate_probabilities(cfg, 10, 0, initials=())

@@ -74,6 +74,13 @@ def test_reconstruction_rejects_saturated_background():
         bloch_reconstruct(TomographyRecord(p_x=1.0, p_y=1.0, p_z=1.0, p_b=1.0 - 1e-13))
 
 
+@pytest.mark.parametrize("visibility", [0.0, -0.5, math.nan, 2.0, math.inf])
+def test_reconstruction_rejects_a_visibility_outside_zero_to_one(visibility):
+    record = TomographyRecord(p_x=0.5, p_y=0.5, p_z=0.5, p_b=0.0)
+    with pytest.raises(DomainError, match="visibility"):
+        bloch_reconstruct(record, visibility)
+
+
 def test_record_validation_and_statistical_slack():
     with pytest.raises(DomainError):
         TomographyRecord(p_x=1.2, p_y=0.5, p_z=0.5, p_b=0.0)
@@ -227,8 +234,8 @@ def test_stacked_sweep_clamps_and_models_the_phase_like_one_point():
 def _assert_grid_measurements_match(cfg, grid):
     p_real, phi_m = cfg.grid_measurements(grid)
     points = [cfg.at_strength(p) for p in grid]
-    assert p_real.tolist() == [c.effective_p() for c in points]
-    assert phi_m.tolist() == [c.measurement_phase() for c in points]
+    assert p_real.tolist() == [c.measurement().p for c in points]
+    assert phi_m.tolist() == [c.measurement().phi_m for c in points]
 
 
 def _raised(call):
