@@ -211,7 +211,7 @@ def cmd_sweep(sweep: SweepSpec, base: ExperimentConfig, kind: str) -> list:
         records = (
             estimate_probabilities(
                 base.at_strength(p), sweep.shots, sweep.seed, kind=kind, stream_base=3 * row_index
-            ).record
+            )
             for row_index, p in enumerate(sweep.p_grid)
         )
         measured = ((record, 1.0 - record.p_b) for record in records)

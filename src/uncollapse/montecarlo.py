@@ -60,13 +60,6 @@ class ShotRecord:
         return any(self.outcomes)
 
 
-@dataclass(frozen=True)
-class EstimateSet:
-    """Sampled tomography probabilities with their standard errors."""
-
-    record: TomographyRecord
-
-
 def _draw_count(seq: PulseSequence, cfg: ExperimentConfig) -> int:
     """Uniform draws one shot consumes: one per stochastic operation, that
     is one per measurement and two per decohered step."""
@@ -233,7 +226,7 @@ def estimate_probabilities(
     stream_base: int = 0,
     initials=None,
 ):
-    """Estimate the tomography record from ``n_shots`` per setting.
+    """The TomographyRecord estimated from ``n_shots`` per setting.
 
     A detection at any point of a shot counts toward that setting's
     probability, matching what a threshold detector reports; the background
@@ -241,7 +234,7 @@ def estimate_probabilities(
     settings.  Standard errors are sqrt(P(1-P)/n).  Setting j draws stream
     ``stream_base + j``.  With ``initials`` (PureStates), member ``3*i + j``
     is initial i under setting j, drawn from stream ``stream_base + 3*i + j``,
-    and the result is a tuple of one EstimateSet per initial.  The three
+    and the result is a tuple of one record per initial.  The three
     settings compile once for any initials.  Each pass of at most
     ``_SHOT_CHUNK`` shots per stream samples every member as one stack, one
     ``_shot_uniforms`` buffer (a column slice of it) and one ``_run_batch``
@@ -264,16 +257,16 @@ def estimate_probabilities(
         escapes += np.count_nonzero(escaped.reshape(members, count), axis=1)
     # per initial: the three settings' counts, then the escapes they pool
     counts = zip(clicks.reshape(-1, 3).tolist(), escapes.reshape(-1, 3).sum(axis=1).tolist())
-    estimates = tuple(_estimate(hits, pooled, n_shots) for hits, pooled in counts)
-    return estimates[0] if initials is None else estimates
+    records = tuple(_estimate(hits, pooled, n_shots) for hits, pooled in counts)
+    return records[0] if initials is None else records
 
 
-def _estimate(clicks: list, escape_total: int, n_shots: int) -> EstimateSet:
+def _estimate(clicks: list, escape_total: int, n_shots: int) -> TomographyRecord:
     probs = {setting: hits / n_shots for setting, hits in zip(TOMO_SETTINGS, clicks)}
     errors = {setting: float(np.sqrt(p * (1.0 - p) / n_shots)) for setting, p in probs.items()}
     pooled = 3 * n_shots
     p_b = escape_total / pooled
-    record = TomographyRecord(
+    return TomographyRecord(
         p_x=probs["x"],
         p_y=probs["y"],
         p_z=probs["z"],
@@ -282,4 +275,3 @@ def _estimate(clicks: list, escape_total: int, n_shots: int) -> EstimateSet:
         stderr=(errors["x"], errors["y"], errors["z"]),
         stderr_b=float(np.sqrt(p_b * (1.0 - p_b) / pooled)),
     )
-    return EstimateSet(record=record)

@@ -157,12 +157,13 @@ def montecarlo_uncollapse_chi(
 ) -> ChiMatrix:
     """Process matrix of the reversal sequence from sampled counts.
 
-    The four probes run as one estimate: probe ``i`` draws from streams
-    ``stream_base + 3*i + j`` (setting j), so the result is reproducible and
-    independent of how shots are batched, and callers that need several
-    matrices under one seed offset ``stream_base`` by 12 per matrix.
+    The four probes run as one estimate of their four tomography records:
+    probe ``i`` draws from streams ``stream_base + 3*i + j`` (setting j), so
+    the result is reproducible and independent of how shots are batched, and
+    callers that need several matrices under one seed offset ``stream_base``
+    by 12 per matrix.
     """
-    estimates = estimate_probabilities(
+    records = estimate_probabilities(
         cfg, n_shots, seed, kind="uncollapse", stream_base=stream_base, initials=PROBE_STATES
     )
-    return _probe_chi([e.record for e in estimates], cfg.device.visibility)
+    return _probe_chi(records, cfg.device.visibility)

@@ -151,8 +151,10 @@ def tomo_probabilities(
 def bloch_reconstruct(t: TomographyRecord, visibility: float = 1.0) -> BlochVector:
     """Invert the forward model at readout visibility ``visibility`` in (0, 1].
 
-    Sampled records may land slightly outside the unit ball, which is
-    deliberately not repaired here.
+    An exact record (one without standard errors) must invert to a physical
+    state, else :class:`DomainError`: float64 roundoff in the record grows by
+    about ``2/((1 - p_b) * v)``.  Sampled records may land slightly outside
+    the unit ball, which is deliberately not repaired here.
     """
     if not 0.0 < visibility <= 1.0:
         raise DomainError(f"readout visibility must lie in (0, 1], got {visibility}")
@@ -163,11 +165,8 @@ def bloch_reconstruct(t: TomographyRecord, visibility: float = 1.0) -> BlochVect
     def component(prob: float) -> float:
         return 2.0 * (prob - t.p_b) * scale / visibility - 1.0
 
-    return BlochVector(
-        x=component(t.p_x),
-        y=-component(t.p_y),
-        z=-component(t.p_z),
-    )
+    vec = BlochVector(x=component(t.p_x), y=-component(t.p_y), z=-component(t.p_z))
+    return vec if t.stderr is not None else vec.validate()
 
 
 def polar_azimuth(b: BlochVector) -> tuple[float, float]:

@@ -200,10 +200,10 @@ def test_09_sampled_estimates_match_exact_engine():
             est = estimate_probabilities(cfg, n, seed=9000 + j, kind=kind)
             exact, _ = exact_tomography_record(cfg, kind)
             pairs = (
-                (est.record.p_x, exact.p_x, est.record.stderr[0]),
-                (est.record.p_y, exact.p_y, est.record.stderr[1]),
-                (est.record.p_z, exact.p_z, est.record.stderr[2]),
-                (est.record.p_b, exact.p_b, est.record.stderr_b),
+                (est.p_x, exact.p_x, est.stderr[0]),
+                (est.p_y, exact.p_y, est.stderr[1]),
+                (est.p_z, exact.p_z, est.stderr[2]),
+                (est.p_b, exact.p_b, est.stderr_b),
             )
             for got, want, err in pairs:
                 pull = abs(got - want) / max(err, 1e-12)

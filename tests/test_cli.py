@@ -493,6 +493,18 @@ def test_numeric_failure_exits_3(tmp_path):
     assert main(["uncollapse", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
 
 
+@pytest.mark.parametrize("visibility", [1e-15, 5e-324])
+@pytest.mark.parametrize("command", ["uncollapse", "qpt"])
+def test_exact_roundoff_past_the_unit_ball_exits_3(tmp_path, capsys, command, visibility):
+    # background subtraction over a tiny visibility amplifies float64 roundoff
+    # into a non-physical state, which an exact row must not print
+    cfg = _write_config(tmp_path, device={"visibility": visibility}, p_grid=[0.0, 0.9])
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
 def _declared_console_scripts():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -46,19 +46,19 @@ def _cfg(theta0=np.pi / 2, **kw):
 def test_zero_strength_never_tunnels_before_analysis():
     cfg = _cfg(p=0.0)
     est = estimate_probabilities(cfg, 500, seed=1, kind="uncollapse")
-    assert est.record.p_b == 0.0
+    assert est.p_b == 0.0
 
 
 def test_excited_state_at_full_strength_always_tunnels():
     cfg = ExperimentConfig(PureState(np.pi, 0.0), p=1.0)
     est = estimate_probabilities(cfg, 300, seed=2, kind="collapse")
-    assert est.record.p_b == 1.0
-    assert est.record.p_x == est.record.p_y == est.record.p_z == 1.0
+    assert est.p_b == 1.0
+    assert est.p_x == est.p_y == est.p_z == 1.0
 
 
 def test_single_shot_probabilities_are_zero_or_one():
     est = estimate_probabilities(_cfg(p=0.4), 1, seed=3, kind="uncollapse")
-    for value in (est.record.p_x, est.record.p_y, est.record.p_z):
+    for value in (est.p_x, est.p_y, est.p_z):
         assert value in (0.0, 1.0)
 
 
@@ -163,6 +163,51 @@ def test_class_kernel_takes_every_decision_of_the_per_shot_kernel(stacked):
                     _assert_same_decisions(seq, cfg, rows)
 
 
+def _settings(cfg, kind="uncollapse"):
+    base = build_sequence(kind, cfg)
+    return tuple(with_tomography(base, s, cfg.timing) for s in TOMO_SETTINGS)
+
+
+def _exact_escapes(seq, cfg):
+    # a shot escapes at a partial measurement with probability (A1 r)[0] of
+    # the unnormalized in-well r that the operations before it leave
+    r = np.array([1.0, 0.0, 0.0, 0.0])
+    escapes = []
+    for op in compile_sequence(seq, cfg):
+        if op.effect == ESCAPE:
+            escapes.append((op.event @ r)[0])
+        r = op.in_well @ r
+    return np.array(escapes)
+
+
+@pytest.mark.parametrize("probes", [False, True])
+def test_escapes_at_each_measurement_match_the_exact_engine(probes):
+    # every escape column of the class kernel, 20 random configs x
+    # collapse/uncollapse x 4,000 shots a member, within 5 sigma of its exact
+    # probability; with probes, as the 12-member stack of a qpt row.  Totals
+    # alone would pass escapes booked to the wrong measurement.
+    rng = np.random.default_rng(2011)
+    n = 4000
+    for i in range(20):
+        cfg = _random_config(rng, i)
+        initials = PROBE_STATES if probes else None
+        for kind in ("collapse", "uncollapse"):
+            settings = _settings(cfg, kind)
+            streams = tuple(range(len(settings) * len(initials or (cfg.initial,))))
+            uniforms = _shot_uniforms(i, streams, 0, n, _draw_count(settings[0], cfg))
+            outcomes, _ = _run_batch(settings, cfg, uniforms, initials)
+            members = [
+                seq
+                for probe in initials or (cfg.initial,)
+                for seq in _settings(replace(cfg, initial=probe), kind)
+            ]
+            for seq, rows in zip(members, np.split(outcomes, len(members)), strict=True):
+                exact = _exact_escapes(seq, cfg)
+                assert rows.shape[1] == len(exact) == (2 if kind == "uncollapse" else 1)
+                sigma = np.sqrt(np.clip(exact * (1.0 - exact), 0.0, None) / n)
+                assert np.all(np.abs(rows.mean(axis=0) - exact) <= 5.0 * sigma + 1e-12), (i, kind)
+
+
 def test_class_kernel_keeps_escape_flags_past_64_measurements():
     # 72 weak measurements: a fixed-width history of escape flags would wrap
     cfg = _cfg(p=0.02, decoherence_enabled=True)
@@ -176,11 +221,6 @@ def test_class_kernel_keeps_escape_flags_past_64_measurements():
     assert outcomes[:, 64:].any()
     _assert_same_decisions(seqs, cfg, uniforms)
     _assert_same_decisions(seqs[0], cfg, uniforms[:2000])
-
-
-def _settings(cfg):
-    base = build_uncollapse(cfg)
-    return tuple(with_tomography(base, s, cfg.timing) for s in TOMO_SETTINGS)
 
 
 def _assert_probe_stack_decides_as_its_members(settings, cfg, uniforms):
@@ -308,6 +348,25 @@ def test_shot_uniforms_match_numpy_philox_streams(seed, stream):
                     assert np.array_equal(got[i], want), (shot_start, n_shots, n_draws, i)
 
 
+@pytest.mark.parametrize("seed", [0, 12345, 2**64 + 5, 2**128 - 1])
+def test_shot_uniforms_are_the_philox_raw_words(seed):
+    # numpy keeps bit-generator streams stable (NEP 19) but not the doubles
+    # Generator.random makes of them: layout v2 is pinned to the raw words,
+    # each word w read as (w >> 11) * 2**-53
+    n_shots = 3
+    for streams in (0, 7, 2**64 - 1, (7, 0, 2**64 - 1)):
+        for shot_start in (0, 5, 2**40 + 3):
+            for n_draws in (1, 3, 4, 15, 16, 17):
+                n_blocks = -(-n_draws // 4)
+                want = []
+                for stream in streams if isinstance(streams, tuple) else (streams,):
+                    bits = Philox(key=seed, counter=shot_start * n_blocks + (stream << 128))
+                    words = bits.random_raw(n_shots * 4 * n_blocks)
+                    want.append(((words >> 11) * 2**-53).reshape(n_shots, 4 * n_blocks))
+                got = _shot_uniforms(seed, streams, shot_start, n_shots, n_draws)
+                assert np.array_equal(got, np.vstack(want)[:, :n_draws])
+
+
 def test_shot_uniforms_just_inside_every_limit():
     # the largest seed, stream and shot index, where the first block k*B of
     # a shot carries into counter word 1; and a shot whose two blocks
@@ -378,8 +437,8 @@ def test_single_shot_api_matches_batch_sampling():
 def test_background_rate_converges_to_strength():
     cfg = _cfg(p=0.5)
     est = estimate_probabilities(cfg, 100_000, seed=11, kind="uncollapse")
-    stderr = est.record.stderr_b
-    assert abs(est.record.p_b - 0.5) < 5 * stderr
+    stderr = est.stderr_b
+    assert abs(est.p_b - 0.5) < 5 * stderr
 
 
 def test_estimates_converge_to_exact_engine():
@@ -387,10 +446,10 @@ def test_estimates_converge_to_exact_engine():
     est = estimate_probabilities(cfg, 40_000, seed=19, kind="collapse")
     exact, _ = exact_tomography_record(cfg, "collapse")
     for got, want, err in (
-        (est.record.p_x, exact.p_x, est.record.stderr[0]),
-        (est.record.p_y, exact.p_y, est.record.stderr[1]),
-        (est.record.p_z, exact.p_z, est.record.stderr[2]),
-        (est.record.p_b, exact.p_b, est.record.stderr_b),
+        (est.p_x, exact.p_x, est.stderr[0]),
+        (est.p_y, exact.p_y, est.stderr[1]),
+        (est.p_z, exact.p_z, est.stderr[2]),
+        (est.p_b, exact.p_b, est.stderr_b),
     ):
         assert abs(got - want) < 5 * max(err, 1e-4)
 
@@ -401,19 +460,19 @@ def test_decohered_estimates_converge_to_exact_engine():
     est = estimate_probabilities(cfg, 40_000, seed=23, kind="uncollapse")
     exact, _ = exact_tomography_record(cfg, "uncollapse")
     for got, want, err in (
-        (est.record.p_x, exact.p_x, est.record.stderr[0]),
-        (est.record.p_y, exact.p_y, est.record.stderr[1]),
-        (est.record.p_z, exact.p_z, est.record.stderr[2]),
-        (est.record.p_b, exact.p_b, est.record.stderr_b),
+        (est.p_x, exact.p_x, est.stderr[0]),
+        (est.p_y, exact.p_y, est.stderr[1]),
+        (est.p_z, exact.p_z, est.stderr[2]),
+        (est.p_b, exact.p_b, est.stderr_b),
     ):
         assert abs(got - want) < 5 * max(err, 1e-4)
 
 
 def test_stderr_formula():
     est = estimate_probabilities(_cfg(p=0.5), 1000, seed=31, kind="uncollapse")
-    p_hat = est.record.p_x
-    assert est.record.stderr[0] == pytest.approx(np.sqrt(p_hat * (1 - p_hat) / 1000))
-    assert est.record.shots == 1000
+    p_hat = est.p_x
+    assert est.stderr[0] == pytest.approx(np.sqrt(p_hat * (1 - p_hat) / 1000))
+    assert est.shots == 1000
 
 
 def test_escaped_shots_feed_background_not_conditional_statistics():
@@ -426,7 +485,7 @@ def test_escaped_shots_feed_background_not_conditional_statistics():
     # every escaped shot reports a click regardless of the analysis draw
     est = estimate_probabilities(cfg, n, seed=9)
     clicked = escaped | detected
-    assert est.record.p_z == np.count_nonzero(clicked) / n
+    assert est.p_z == np.count_nonzero(clicked) / n
 
 
 def test_shot_count_validation():

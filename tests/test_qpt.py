@@ -255,7 +255,7 @@ def test_sampled_chi_runs_each_pass_of_a_row_as_one_twelve_member_stack(monkeypa
         estimate_probabilities(replace(cfg, initial=probe), 15, seed=5, stream_base=base + 3 * i)
         for i, probe in enumerate(PROBE_STATES)
     )
-    outputs = tuple(bloch_reconstruct(e.record, cfg.device.visibility) for e in singles)
+    outputs = tuple(bloch_reconstruct(e, cfg.device.visibility) for e in singles)
     reference = qpt_reconstruct(ProbeSet(PROBE_STATES, outputs))
     passes, kernels = [], []
     shot_uniforms, run_batch = montecarlo._shot_uniforms, montecarlo._run_batch

@@ -81,6 +81,14 @@ def test_reconstruction_rejects_a_visibility_outside_zero_to_one(visibility):
         bloch_reconstruct(record, visibility)
 
 
+def test_only_an_exact_record_must_invert_into_the_unit_ball():
+    values = dict(p_x=1.0, p_y=0.0, p_z=0.0, p_b=0.0)
+    with pytest.raises(DomainError, match="unit ball"):
+        bloch_reconstruct(TomographyRecord(**values))
+    sampled = TomographyRecord(**values, shots=10, stderr=(0.0, 0.0, 0.0), stderr_b=0.0)
+    assert bloch_reconstruct(sampled).as_array().tolist() == [1.0, 1.0, 1.0]
+
+
 def test_record_validation_and_statistical_slack():
     with pytest.raises(DomainError):
         TomographyRecord(p_x=1.2, p_y=0.5, p_z=0.5, p_b=0.0)
