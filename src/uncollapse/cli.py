@@ -25,7 +25,8 @@ import numpy as np
 from .errors import SimulationError
 from .montecarlo import estimate_probabilities
 from .protocol import ExperimentConfig, PulseTiming
-from .qpt import PAULI_LABELS, exact_uncollapse_chi, montecarlo_uncollapse_chi, process_fidelity
+from .qpt import (PAULI_LABELS, PROBE_STATES, exact_uncollapse_chi, montecarlo_uncollapse_chi,
+                  process_fidelity)
 from .qubit import DeviceParams, PureState, default_device
 # exact_tomography_record is not called here; it stays importable from this
 # module, where perfbench/tracer.py looks the per-point record up
@@ -245,14 +246,16 @@ def _output_paths(command: str, sweep: SweepSpec, out: str) -> list:
 
 
 def cmd_qpt(sweep: SweepSpec, base: ExperimentConfig) -> list:
-    chis = []
-    # row r of p_grid + chi_p draws streams 12r ... 12r+11 (probes x settings)
-    for row_index, p in enumerate(sweep.p_grid + sweep.chi_p):
-        cfg = base.at_strength(p)
-        if sweep.mode == "exact":
-            chis.append(exact_uncollapse_chi(cfg))
-        else:
-            chis.append(montecarlo_uncollapse_chi(cfg, sweep.shots, sweep.seed, 12 * row_index))
+    strengths = sweep.p_grid + sweep.chi_p
+    if sweep.mode == "exact":
+        # one fold over rows x probes: row r holds members 4r ... 4r+3
+        records, _ = exact_tomography_sweep(base, strengths, initials=PROBE_STATES)
+        chis = [exact_uncollapse_chi(base.at_strength(p), records[4 * r:4 * r + 4])
+                for r, p in enumerate(strengths)]
+    else:
+        # row r draws streams 12r ... 12r+11 (probes x settings)
+        chis = [montecarlo_uncollapse_chi(base.at_strength(p), sweep.shots, sweep.seed, 12 * r)
+                for r, p in enumerate(strengths)]
     rows = [[p, process_fidelity(chi)] for p, chi in zip(sweep.p_grid, chis)]
     texts = [_csv(QPT_HEADER, rows)]
     for p, chi in zip(sweep.chi_p, chis[len(sweep.p_grid):]):

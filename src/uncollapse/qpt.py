@@ -145,10 +145,12 @@ def _probe_chi(records, visibility: float) -> ChiMatrix:
     return qpt_reconstruct(ProbeSet(PROBE_STATES, outputs))
 
 
-def exact_uncollapse_chi(cfg: ExperimentConfig) -> ChiMatrix:
+def exact_uncollapse_chi(cfg: ExperimentConfig, records=None) -> ChiMatrix:
     """Process matrix of the reversal sequence from exact evolution, with the
-    four probes run as one stack through one compiled sequence."""
-    records, _ = exact_tomography_sweep(cfg, None, initials=PROBE_STATES)
+    four probes run as one stack through one compiled sequence, or from
+    ``records``, their four records taken from a larger stack."""
+    if records is None:
+        records, _ = exact_tomography_sweep(cfg, None, initials=PROBE_STATES)
     return _probe_chi(records, cfg.device.visibility)
 
 

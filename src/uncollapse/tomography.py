@@ -18,6 +18,7 @@ given the rotation conventions of :func:`channels.tomography_rotation`.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,8 +154,8 @@ def bloch_reconstruct(t: TomographyRecord, visibility: float = 1.0) -> BlochVect
 
     An exact record (one without standard errors) must invert to a physical
     state, else :class:`DomainError`: float64 roundoff in the record grows by
-    about ``2/((1 - p_b) * v)``.  Sampled records may land slightly outside
-    the unit ball, which is deliberately not repaired here.
+    about ``2/((1 - p_b) * v)``.  Sampled records may leave the unit ball,
+    unrepaired here, but must still invert to finite components.
     """
     if not 0.0 < visibility <= 1.0:
         raise DomainError(f"readout visibility must lie in (0, 1], got {visibility}")
@@ -166,6 +167,8 @@ def bloch_reconstruct(t: TomographyRecord, visibility: float = 1.0) -> BlochVect
         return 2.0 * (prob - t.p_b) * scale / visibility - 1.0
 
     vec = BlochVector(x=component(t.p_x), y=-component(t.p_y), z=-component(t.p_z))
+    if not all(map(math.isfinite, (vec.x, vec.y, vec.z))):
+        raise DomainError(f"reconstruction at visibility {visibility} is not finite: {vec}")
     return vec if t.stderr is not None else vec.validate()
 
 

@@ -505,6 +505,50 @@ def test_exact_roundoff_past_the_unit_ball_exits_3(tmp_path, capsys, command, vi
     assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
 
+@pytest.mark.parametrize("command", ["uncollapse", "qpt"])
+def test_sampled_reconstruction_that_is_not_finite_exits_3(tmp_path, capsys, command):
+    # sampled points may leave the unit ball, but over a visibility this
+    # small background subtraction overflows to infinite components
+    cfg = _write_config(tmp_path, device={"visibility": 5e-324}, p_grid=[0.0, 0.9])
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "x.csv"), "--mode", "mc",
+            "--shots", "200"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
+def test_exact_qpt_stack_failing_in_its_chi_row_writes_nothing(tmp_path, capsys):
+    # the whole p_grid + chi_p runs as one stack; only the chi_p row fails
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = _write_config(tmp_path, device={"visibility": 1e-15}, p_grid=[0.0], chi_p=[0.9])
+    assert main(["qpt", "--config", cfg, "--out", str(out / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert list(out.iterdir()) == []
+    grid_only = _write_config(tmp_path, "grid.json", device={"visibility": 1e-15}, p_grid=[0.0],
+                              chi_p=[])
+    assert main(["qpt", "--config", grid_only, "--out", str(out / "x.csv")]) == 0
+
+
+def test_exact_qpt_compiles_and_folds_once_for_every_row(tmp_path, monkeypatch):
+    import uncollapse.cli as cli
+    import uncollapse.protocol as protocol
+    import uncollapse.tomography as tomography
+
+    folds, chis = [], []
+    fold, chi = tomography.fold, cli.exact_uncollapse_chi
+    monkeypatch.setattr(tomography, "fold", lambda *a: folds.append(1) or fold(*a))
+    monkeypatch.setattr(cli, "exact_uncollapse_chi", lambda *a: chis.append(1) or chi(*a))
+    cfg = _write_config(tmp_path, p_grid=[0.04 * i for i in range(20)], chi_p=[0.47],
+                        decoherence=True)
+    protocol.compile_sequence.cache_clear()
+    assert main(["qpt", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 0
+    assert protocol.compile_sequence.cache_info().misses == 1
+    assert len(folds) == 1 and len(chis) == 21
+
+
 def _declared_console_scripts():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -227,6 +227,27 @@ def test_stacked_chi_equals_the_per_probe_reference():
             assert np.array_equal(exact_uncollapse_chi(cfg).matrix, reference.matrix)
 
 
+def test_stacked_exact_qpt_writes_what_one_fold_per_row_writes(monkeypatch):
+    # exactly equal, not close: each row's probe records come from one fold
+    # over every row, and must give the chi of that row's own fold
+    import uncollapse.cli as cli
+
+    def per_row(cfg, records):
+        alone = exact_uncollapse_chi(cfg)
+        assert np.array_equal(exact_uncollapse_chi(cfg, records).matrix, alone.matrix)
+        return alone
+
+    rng = np.random.default_rng(1717)
+    grid = tuple(sorted(rng.uniform(0.0, 0.95, 22)))
+    for options in _random_configs(rng, 8):
+        base = ExperimentConfig(PureState(1.0, 0.5), 0.0, **options)
+        sweep = cli.SweepSpec(grid, "exact", 1, 0, (0.47, grid[5]))
+        stacked = cli.cmd_qpt(sweep, base)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "exact_uncollapse_chi", per_row)
+            assert cli.cmd_qpt(sweep, base) == stacked
+
+
 def test_exact_chi_compiles_once_and_checks_positivity_once(monkeypatch):
     import uncollapse.protocol as protocol
 
