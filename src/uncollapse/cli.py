@@ -30,12 +30,8 @@ from .qpt import (PAULI_LABELS, PROBE_STATES, exact_uncollapse_chi, montecarlo_u
 from .qubit import DeviceParams, PureState, default_device
 # exact_tomography_record is not called here; it stays importable from this
 # module, where perfbench/tracer.py looks the per-point record up
-from .tomography import (  # noqa: F401
-    bloch_reconstruct,
-    exact_tomography_record,
-    exact_tomography_sweep,
-    polar_azimuth,
-)
+from .tomography import (bloch_reconstruct, bloch_rows, exact_tomography_record,  # noqa: F401
+                         exact_tomography_sweep, polar_angles, polar_azimuth)
 
 COLLAPSE_HEADER = ["p", "P_X", "P_Y", "P_Z", "P_B", "X", "Y", "Z", "theta"]
 UNCOLLAPSE_HEADER = COLLAPSE_HEADER + ["p_success"]
@@ -205,24 +201,21 @@ def _csv(header: list, rows: list) -> str:
 
 def cmd_sweep(sweep: SweepSpec, base: ExperimentConfig, kind: str) -> list:
     if sweep.mode == "exact":
-        measured = zip(*exact_tomography_sweep(base, sweep.p_grid, kind))
+        table, p_success = exact_tomography_sweep(base, sweep.p_grid, kind)
+        vectors = bloch_rows(table, base.device.visibility)
+        rows = np.column_stack((table, vectors, polar_angles(vectors), p_success)).tolist()
     else:
-        # row r draws streams 3r ... 3r+2, one per tomography setting, and is
-        # sampled as it is read
-        records = (
-            estimate_probabilities(
+        rows = []
+        for row_index, p in enumerate(sweep.p_grid):
+            # row r draws streams 3r ... 3r+2, one per tomography setting
+            record = estimate_probabilities(
                 base.at_strength(p), sweep.shots, sweep.seed, kind=kind, stream_base=3 * row_index
             )
-            for row_index, p in enumerate(sweep.p_grid)
-        )
-        measured = ((record, 1.0 - record.p_b) for record in records)
-    rows = []
-    for p, (record, p_success) in zip(sweep.p_grid, measured):
-        vec = bloch_reconstruct(record, base.device.visibility)
-        theta, _ = polar_azimuth(vec)
-        row = [p, record.p_x, record.p_y, record.p_z, record.p_b, vec.x, vec.y, vec.z, theta]
-        rows.append(row + [p_success] if kind == "uncollapse" else row)
-    return [_csv(UNCOLLAPSE_HEADER if kind == "uncollapse" else COLLAPSE_HEADER, rows)]
+            v = bloch_reconstruct(record, base.device.visibility)
+            theta, _ = polar_azimuth(v)
+            rows.append([record.p_x, record.p_y, record.p_z, record.p_b, *v, theta, 1 - record.p_b])
+    header = UNCOLLAPSE_HEADER if kind == "uncollapse" else COLLAPSE_HEADER
+    return [_csv(header, [[p, *row][:len(header)] for p, row in zip(sweep.p_grid, rows)])]
 
 
 def _output_paths(command: str, sweep: SweepSpec, out: str) -> list:
@@ -248,9 +241,10 @@ def _output_paths(command: str, sweep: SweepSpec, out: str) -> list:
 def cmd_qpt(sweep: SweepSpec, base: ExperimentConfig) -> list:
     strengths = sweep.p_grid + sweep.chi_p
     if sweep.mode == "exact":
-        # one fold over rows x probes: row r holds members 4r ... 4r+3
-        records, _ = exact_tomography_sweep(base, strengths, initials=PROBE_STATES)
-        chis = [exact_uncollapse_chi(base.at_strength(p), records[4 * r:4 * r + 4])
+        # one fold and one reconstruction: row r holds members 4r ... 4r+3
+        table, _ = exact_tomography_sweep(base, strengths, initials=PROBE_STATES)
+        outputs = bloch_rows(table, base.device.visibility).tolist()
+        chis = [exact_uncollapse_chi(base.at_strength(p), outputs[4 * r:4 * r + 4])
                 for r, p in enumerate(strengths)]
     else:
         # row r draws streams 12r ... 12r+11 (probes x settings)

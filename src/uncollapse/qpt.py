@@ -26,11 +26,8 @@ from .qubit import PAULI_BASIS, ROUNDOFF_TOL, PureState, operators_from_pauli, s
 from .protocol import ExperimentConfig
 # exact_tomography_record is not called here; it stays importable from this
 # module, where perfbench/tracer.py looks the per-probe record up
-from .tomography import (  # noqa: F401
-    bloch_reconstruct,
-    exact_tomography_record,
-    exact_tomography_sweep,
-)
+from .tomography import (bloch_reconstruct, bloch_rows, exact_tomography_record,  # noqa: F401
+                         exact_tomography_sweep)
 
 PAULI_LABELS = ("I", "X", "Y", "Z")
 
@@ -46,7 +43,7 @@ _GRAM_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class ProbeSet:
-    """Four probe inputs paired with their reconstructed output vectors."""
+    """Four probe inputs paired with their output Bloch vectors or (x, y, z) rows."""
 
     inputs: tuple
     outputs: tuple
@@ -113,7 +110,7 @@ def qpt_reconstruct(probes: ProbeSet) -> ChiMatrix:
     """Solve the 16x16 linear system mapping chi onto the probe outputs."""
     a = _design_matrix(tuple(probes.inputs))
     # noisy reconstructions may leave the unit ball; no validation here
-    b = operators_from_pauli(np.array([(1.0, v.x, v.y, v.z) for v in probes.outputs])).reshape(16)
+    b = operators_from_pauli(np.array([(1.0, *v) for v in probes.outputs])).reshape(16)
     try:
         solution = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
@@ -139,19 +136,14 @@ def cp_diagnostics(chi: ChiMatrix) -> CpReport:
     )
 
 
-def _probe_chi(records, visibility: float) -> ChiMatrix:
-    """Process matrix from the tomography records of the four probes."""
-    outputs = tuple(bloch_reconstruct(record, visibility) for record in records)
-    return qpt_reconstruct(ProbeSet(PROBE_STATES, outputs))
-
-
-def exact_uncollapse_chi(cfg: ExperimentConfig, records=None) -> ChiMatrix:
+def exact_uncollapse_chi(cfg: ExperimentConfig, outputs=None) -> ChiMatrix:
     """Process matrix of the reversal sequence from exact evolution, with the
     four probes run as one stack through one compiled sequence, or from
-    ``records``, their four records taken from a larger stack."""
-    if records is None:
-        records, _ = exact_tomography_sweep(cfg, None, initials=PROBE_STATES)
-    return _probe_chi(records, cfg.device.visibility)
+    ``outputs``, their four Bloch rows taken from a larger stack."""
+    if outputs is None:
+        table, _ = exact_tomography_sweep(cfg, None, initials=PROBE_STATES)
+        outputs = bloch_rows(table, cfg.device.visibility)
+    return qpt_reconstruct(ProbeSet(PROBE_STATES, outputs))
 
 
 def montecarlo_uncollapse_chi(
@@ -168,4 +160,5 @@ def montecarlo_uncollapse_chi(
     records = estimate_probabilities(
         cfg, n_shots, seed, kind="uncollapse", stream_base=stream_base, initials=PROBE_STATES
     )
-    return _probe_chi(records, cfg.device.visibility)
+    outputs = tuple(bloch_reconstruct(record, cfg.device.visibility) for record in records)
+    return qpt_reconstruct(ProbeSet(PROBE_STATES, outputs))

@@ -90,6 +90,9 @@ class BlochVector:
     y: float
     z: float
 
+    def __iter__(self):
+        return iter((self.x, self.y, self.z))
+
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
 

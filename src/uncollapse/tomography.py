@@ -14,7 +14,9 @@ setting's rotation.  For v in (0, 1] the forward model is inverted exactly by
     y = -(2*(P_y - p_b)/((1 - p_b)*v) - 1)
     z = -(2*(P_z - p_b)/((1 - p_b)*v) - 1)
 
-given the rotation conventions of :func:`channels.tomography_rotation`.
+given the rotation conventions of :func:`channels.tomography_rotation`; a
+stack of exact states is one table of rows (P_X, P_Y, P_Z, P_B), with no
+record per member, inverted in one pass by :func:`bloch_rows`.
 """
 
 import functools
@@ -53,7 +55,8 @@ from .protocol import (
     fold,
     run_exact,
 )
-from .qubit import TRACE_FLOOR, BlochVector, DeviceParams, QubitState, pauli_vectors
+from .qubit import (EXACT_TOL, ROUNDOFF_TOL, TRACE_FLOOR, BlochVector, DeviceParams, QubitState,
+                    pauli_vectors)
 
 TOMO_SETTINGS = ("x", "y", "z")
 
@@ -77,12 +80,12 @@ class TomographyRecord:
 
     def __post_init__(self):
         for name, value in self._items() + (("p_b", self.p_b),):
-            if not -1e-12 <= value <= 1.0 + 1e-12:
+            if not -EXACT_TOL <= value <= 1.0 + EXACT_TOL:
                 raise DomainError(f"probability {name}={value} outside [0, 1]")
         for index, (name, value) in enumerate(self._items()):
             # statistical slack: the pooled background estimate may sit above
             # a single setting's count by a few standard errors
-            slack = 1e-9
+            slack = ROUNDOFF_TOL
             if self.stderr is not None and self.stderr_b is not None:
                 slack += 6.0 * float(np.hypot(self.stderr[index], self.stderr_b))
             if value < self.p_b - slack:
@@ -113,24 +116,28 @@ def _readout_rows(visibility: float, tomo_decoherence: DecoherenceStep | None) -
     return rows
 
 
-def _forward(paulis: np.ndarray, p_b: np.ndarray, d: DeviceParams, tomo_decoherence) -> list:
+def _forward(paulis: np.ndarray, p_b: np.ndarray, d: DeviceParams, tomo_decoherence) -> np.ndarray:
     """Forward detection model over a stack: the (k, 4) Pauli vectors of the
-    conditional states and their (k,) background probabilities give one
-    record per member, from one matrix product for the whole stack."""
-    for trace, background in zip(paulis[:, 0], p_b):
+    conditional states and their (k,) background probabilities give the
+    (k, 4) table of rows (P_X, P_Y, P_Z, P_B), from one matrix product for the
+    whole stack.  Every state check runs before any record check, and the
+    first failing member names the error."""
+    failed = (paulis[:, 0] <= TRACE_FLOOR) | ~((0.0 <= p_b) & (p_b <= 1.0))
+    for trace, background in zip(paulis[failed, 0].tolist(), p_b[failed].tolist()):
         if trace <= TRACE_FLOOR:
             raise UndefinedStateError("tomography of a vanished conditional state")
-        if not 0.0 <= background <= 1.0:
-            raise DomainError(f"background probability must lie in [0, 1], got {float(background)}")
+        raise DomainError(f"background probability must lie in [0, 1], got {background}")
     rows = _readout_rows(d.visibility, tomo_decoherence)
     # one matrix-vector product per member, so that a stack computes exactly
     # what a single state does
     populations = (rows @ (paulis / paulis[:, :1])[:, :, None])[:, :, 0]
     probs = p_b[:, None] + (1.0 - p_b[:, None]) * populations
-    return [
-        TomographyRecord(p_x=float(p_x), p_y=float(p_y), p_z=float(p_z), p_b=float(background))
-        for (p_x, p_y, p_z), background in zip(probs, p_b)
-    ]
+    table = np.column_stack((probs, p_b))
+    valid = ((-EXACT_TOL <= table) & (table <= 1.0 + EXACT_TOL)).all(axis=1)
+    valid &= (probs >= p_b[:, None] - ROUNDOFF_TOL).all(axis=1)
+    if not valid.all():
+        TomographyRecord(*table[valid.argmin()].tolist())  # raises the member's error
+    return table
 
 
 def tomo_probabilities(
@@ -145,8 +152,8 @@ def tomo_probabilities(
     pulse window (rotation first, then decay), mirroring exact execution of
     an appended tomography step.
     """
-    paulis = pauli_vectors(q.rho[None])
-    return _forward(paulis, np.array([p_b], dtype=float), d, tomo_decoherence)[0]
+    table = _forward(pauli_vectors(q.rho[None]), np.array([p_b], dtype=float), d, tomo_decoherence)
+    return TomographyRecord(*table[0].tolist())
 
 
 def bloch_reconstruct(t: TomographyRecord, visibility: float = 1.0) -> BlochVector:
@@ -159,34 +166,58 @@ def bloch_reconstruct(t: TomographyRecord, visibility: float = 1.0) -> BlochVect
     """
     if not 0.0 < visibility <= 1.0:
         raise DomainError(f"readout visibility must lie in (0, 1], got {visibility}")
-    if t.p_b >= 1.0 - 1e-12:
+    if t.p_b >= 1.0 - EXACT_TOL:
         raise DegenerateBackgroundError("background probability too close to 1")
     scale = 1.0 / (1.0 - t.p_b)
-
-    def component(prob: float) -> float:
-        return 2.0 * (prob - t.p_b) * scale / visibility - 1.0
-
-    vec = BlochVector(x=component(t.p_x), y=-component(t.p_y), z=-component(t.p_z))
-    if not all(map(math.isfinite, (vec.x, vec.y, vec.z))):
+    x, y, z = (2.0 * (prob - t.p_b) * scale / visibility - 1.0 for prob in (t.p_x, t.p_y, t.p_z))
+    vec = BlochVector(x, -y, -z)
+    if not all(map(math.isfinite, vec)):
         raise DomainError(f"reconstruction at visibility {visibility} is not finite: {vec}")
     return vec if t.stderr is not None else vec.validate()
 
 
+def bloch_rows(table: np.ndarray, visibility: float = 1.0) -> np.ndarray:
+    """Row by row what :func:`bloch_reconstruct` gives an exact table row, by
+    the same arithmetic and checks; the first failing row raises its error."""
+    probs, p_b = table[:, :3], table[:, 3:]
+    # a failing row may divide by zero or overflow; it raises below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        vectors = (2.0 * (probs - p_b) * (1.0 / (1.0 - p_b)) / visibility - 1.0) * (1, -1, -1)
+        x, y, z = vectors.T
+        valid = (p_b[:, 0] < 1.0 - EXACT_TOL) & (abs(vectors) <= 1.0 + ROUNDOFF_TOL).all(axis=1)
+        valid &= x**2 + y**2 + z**2 <= 1.0 + ROUNDOFF_TOL
+    if not (valid.all() and 0.0 < visibility <= 1.0):
+        bloch_reconstruct(TomographyRecord(*table[valid.argmin()].tolist()), visibility)
+    return vectors
+
+
 def polar_azimuth(b: BlochVector) -> tuple[float, float]:
-    """Polar angle in [0, pi] and azimuth in [0, 2*pi) of a Bloch vector.
+    """Polar angle in [0, pi] and azimuth in [0, 2*pi) of a finite Bloch vector.
 
     The azimuth convention matches the pure-state parameterization: a state
     with azimuth phi0 has Bloch components (x, y) = (cos, -sin)*sin(theta),
     so phi = atan2(-y, x).
     """
-    r = b.norm
-    if r <= 1e-9:
+    if not all(map(math.isfinite, b)):
+        raise DomainError(f"Bloch vector {b} is not finite")
+    if b.norm <= ROUNDOFF_TOL:
         raise UndefinedDirectionError("Bloch vector too short to define a direction")
     # atan2 of (transverse, axial) stays well conditioned at the poles,
     # where arccos of the normalized z component loses half the digits
     theta = float(np.arctan2(np.hypot(b.x, b.y), b.z))
     phi = float(np.arctan2(-b.y, b.x) % (2.0 * np.pi))
     return theta, phi
+
+
+def polar_angles(vectors: np.ndarray) -> np.ndarray:
+    """Row by row the polar angle :func:`polar_azimuth` gives a Bloch row, by
+    the same arithmetic and checks; the first failing row raises its error."""
+    x, y, z = vectors.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        valid = np.isfinite(vectors).all(axis=1) & (np.sqrt(x**2 + y**2 + z**2) > ROUNDOFF_TOL)
+    if not valid.all():
+        polar_azimuth(BlochVector(*vectors[valid.argmin()].tolist()))
+    return np.arctan2(np.hypot(x, y), z)
 
 
 def with_tomography(seq: PulseSequence, setting: str, timing: PulseTiming) -> PulseSequence:
@@ -216,7 +247,7 @@ def exact_tomography_record(
 def exact_tomography_sweep(
     cfg: ExperimentConfig, p_grid, kind: str = "uncollapse", initials: tuple | None = None
 ) -> tuple:
-    """The records and success probabilities :func:`exact_tomography_record`
+    """The table rows and success probabilities :func:`exact_tomography_record`
     gives at ``cfg.at_strength(p)`` for each p of ``p_grid`` (None: ``cfg.p``)
     from each of ``initials`` (None: ``cfg.initial``), member ``i*k + j`` from
     strength i and initial j, by one :func:`fold` and one forward pass."""

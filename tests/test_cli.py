@@ -549,6 +549,36 @@ def test_exact_qpt_compiles_and_folds_once_for_every_row(tmp_path, monkeypatch):
     assert len(folds) == 1 and len(chis) == 21
 
 
+@pytest.mark.parametrize("decoherence", [False, True])
+@pytest.mark.parametrize("command", ["collapse", "uncollapse", "qpt"])
+def test_exact_commands_build_no_record_and_reconstruct_no_member_alone(tmp_path, monkeypatch,
+                                                                        command, decoherence):
+    # the exact engine carries one checked table per stack: a per-member
+    # record or reconstruction coming back would show up here
+    import uncollapse.cli as cli
+    import uncollapse.qpt as qpt
+    import uncollapse.tomography as tomography
+
+    calls = []
+    for module in (cli, qpt, tomography):
+        for name in ("bloch_reconstruct", "polar_azimuth"):
+            if hasattr(module, name):
+                original = getattr(module, name)
+                monkeypatch.setattr(module, name,
+                                    lambda *a, f=original: calls.append(f.__name__) or f(*a))
+    post_init = tomography.TomographyRecord.__post_init__
+    monkeypatch.setattr(tomography.TomographyRecord, "__post_init__",
+                        lambda self: calls.append("record") or post_init(self))
+    cfg = _write_config(tmp_path, p_grid=[0.04 * i for i in range(20)], chi_p=[0.47, 0.9],
+                        decoherence=decoherence)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 0
+    assert calls == []
+    # the patches count: the same command in sampled mode makes such calls
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x.csv"), "--mode", "mc",
+                 "--shots", "20"]) == 0
+    assert {"bloch_reconstruct", "record"} <= set(calls)
+
+
 def _declared_console_scripts():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"

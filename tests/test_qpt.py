@@ -28,6 +28,7 @@ from uncollapse.protocol import PulseTiming, build_uncollapse, compile_sequence
 from uncollapse.qubit import default_device
 from uncollapse.tomography import (
     bloch_reconstruct,
+    bloch_rows,
     exact_tomography_record,
     exact_tomography_sweep,
 )
@@ -197,7 +198,7 @@ def _per_probe_chi(cfg):
 
     records = [exact_tomography_record(replace(cfg, initial=probe))[0] for probe in PROBE_STATES]
     outputs = tuple(bloch_reconstruct(r, cfg.device.visibility) for r in records)
-    return records, qpt_reconstruct(ProbeSet(PROBE_STATES, outputs))
+    return records, outputs, qpt_reconstruct(ProbeSet(PROBE_STATES, outputs))
 
 
 def _random_configs(rng, count):
@@ -222,19 +223,23 @@ def test_stacked_chi_equals_the_per_probe_reference():
         for p in grid:
             initial = PureState(rng.uniform(0, np.pi), rng.uniform(0, 6))
             cfg = ExperimentConfig(initial, p, **options)
-            records, reference = _per_probe_chi(cfg)
-            assert exact_tomography_sweep(cfg, None, initials=PROBE_STATES)[0] == records
+            records, outputs, reference = _per_probe_chi(cfg)
+            table, _ = exact_tomography_sweep(cfg, None, initials=PROBE_STATES)
+            assert table.tolist() == [[r.p_x, r.p_y, r.p_z, r.p_b] for r in records]
+            rows = bloch_rows(table, cfg.device.visibility)
+            assert rows.tolist() == [[v.x, v.y, v.z] for v in outputs]
             assert np.array_equal(exact_uncollapse_chi(cfg).matrix, reference.matrix)
 
 
 def test_stacked_exact_qpt_writes_what_one_fold_per_row_writes(monkeypatch):
-    # exactly equal, not close: each row's probe records come from one fold
-    # over every row, and must give the chi of that row's own fold
+    # exactly equal, not close: each row's probe outputs come from one fold
+    # and one reconstruction over every row, and must give the chi of that
+    # row's own fold
     import uncollapse.cli as cli
 
-    def per_row(cfg, records):
+    def per_row(cfg, outputs):
         alone = exact_uncollapse_chi(cfg)
-        assert np.array_equal(exact_uncollapse_chi(cfg, records).matrix, alone.matrix)
+        assert np.array_equal(exact_uncollapse_chi(cfg, outputs).matrix, alone.matrix)
         return alone
 
     rng = np.random.default_rng(1717)

@@ -26,7 +26,14 @@ from uncollapse import (
     state_from_bloch,
     tomo_probabilities,
 )
-from uncollapse.tomography import exact_tomography_sweep
+from uncollapse.qubit import TRACE_FLOOR
+from uncollapse.tomography import (
+    _forward,
+    _readout_rows,
+    bloch_rows,
+    exact_tomography_sweep,
+    polar_angles,
+)
 
 
 def test_forward_model_on_basis_states():
@@ -189,10 +196,28 @@ def _per_point(cfg, p_grid, kind):
     return [record for record, _ in pairs], [outcome.p_success for _, outcome in pairs]
 
 
+def _per_record(records, visibility):
+    # the reference: each record reconstructed, and its angle read, on its own
+    vectors = [bloch_reconstruct(record, visibility) for record in records]
+    return [[*v] for v in vectors], [polar_azimuth(v)[0] for v in vectors]
+
+
+def _per_table(table, visibility):
+    vectors = bloch_rows(table, visibility)
+    return vectors.tolist(), polar_angles(vectors).tolist()
+
+
 def _assert_sweep_equals_per_point(cfg, p_grid, kinds=("collapse", "uncollapse")):
+    visibility = cfg.device.visibility
     for kind in kinds:
-        records, p_success = exact_tomography_sweep(cfg, p_grid, kind)
-        assert (records, p_success.tolist()) == _per_point(cfg, p_grid, kind)
+        table, p_success = exact_tomography_sweep(cfg, p_grid, kind)
+        records, reference = _per_point(cfg, p_grid, kind)
+        assert table.tolist() == [[r.p_x, r.p_y, r.p_z, r.p_b] for r in records]
+        assert p_success.tolist() == reference
+        # Bloch rows and angles equal by ==, or the same error
+        assert _outcome(lambda: _per_table(table, visibility)) == _outcome(
+            lambda: _per_record(records, visibility)
+        )
 
 
 def test_stacked_sweep_equals_the_per_point_path():
@@ -223,8 +248,8 @@ def test_stacked_sweep_clamps_and_models_the_phase_like_one_point():
     assert clamped.grid_measurements(grid)[0].tolist() == [0.15000000000000002, 0.75, 1.0]
     _assert_grid_measurements_match(clamped, grid)
     _assert_sweep_equals_per_point(clamped, grid, kinds=("collapse",))
-    records, _ = exact_tomography_sweep(clamped, grid, "collapse")
-    assert abs(records[-1].p_b - math.sin(0.65) ** 2) < 1e-15
+    table, _ = exact_tomography_sweep(clamped, grid, "collapse")
+    assert abs(table[-1, 3] - math.sin(0.65) ** 2) < 1e-15
     # a nonlinear phase model, evaluated at each realized strength
     for decoherence in (False, True):
         cfg = ExperimentConfig(
@@ -254,6 +279,14 @@ def _raised(call):
     return None
 
 
+def _outcome(call):
+    # the result, or the type and message of what the call raised
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 @pytest.mark.parametrize(
     "kind, theta0, p_grid",
     [
@@ -270,3 +303,116 @@ def test_a_failing_grid_point_raises_what_the_per_point_path_raises(kind, theta0
     expected = _raised(lambda: _per_point(cfg, p_grid, kind))
     assert expected is not None
     assert _raised(lambda: exact_tomography_sweep(cfg, p_grid, kind)) is expected
+
+
+def _per_member_forward(paulis, p_b, device):
+    # the reference: the loop over members that the checked table replaced,
+    # every member's state checks first, then one record per member
+    for trace, background in zip(paulis[:, 0], p_b):
+        if trace <= TRACE_FLOOR:
+            raise UndefinedStateError("tomography of a vanished conditional state")
+        if not 0.0 <= background <= 1.0:
+            raise DomainError(f"background probability must lie in [0, 1], got {float(background)}")
+    rows = _readout_rows(device.visibility, None)
+    populations = (rows @ (paulis / paulis[:, :1])[:, :, None])[:, :, 0]
+    probs = p_b[:, None] + (1.0 - p_b[:, None]) * populations
+    return [TomographyRecord(*row, background) for row, background in zip(probs.tolist(), p_b)]
+
+
+def _physical_stack(size):
+    # unnormalized Pauli vectors of physical states, and their backgrounds
+    rng = np.random.default_rng(18)
+    vectors = rng.normal(size=(size, 3))
+    vectors *= rng.uniform(0, 1, (size, 1)) / np.linalg.norm(vectors, axis=1, keepdims=True)
+    paulis = np.column_stack((np.ones(size), vectors)) * rng.uniform(0.1, 1.0, (size, 1))
+    return paulis, rng.uniform(0.0, 0.9, size)
+
+
+# (Pauli vector, background) of a member that fails one check: a vanished
+# trace, a background outside [0, 1], P_Z above 1 and P_Z below the background
+_FAILING_MEMBERS = {
+    "vanished": ((TRACE_FLOOR, 0.0, 0.0, 0.0), 0.2),
+    "background": ((1.0, 0.0, 0.0, 0.0), 1.5),
+    "negative_background": ((1.0, 0.6, 0.0, 0.0), -0.1),
+    "above_one": ((1.0, 0.0, 0.0, -3.0), 0.5),
+    "below_background": ((1.0, 0.0, 0.0, 1.5), 0.5),
+}
+
+
+@pytest.mark.parametrize(
+    "failures",
+    [{at: kind} for kind in _FAILING_MEMBERS for at in (0, 3, 6)]
+    + [
+        {1: "below_background", 4: "vanished"},
+        {2: "above_one", 5: "below_background"},
+        {0: "below_background", 6: "above_one"},
+        {3: "above_one", 4: "background"},
+        {2: "negative_background", 5: "vanished"},
+    ],
+)
+def test_a_failing_member_of_a_table_raises_what_the_member_loop_raised(failures):
+    paulis, p_b = _physical_stack(7)
+    for at, kind in failures.items():
+        paulis[at], p_b[at] = _FAILING_MEMBERS[kind]
+    device = default_device(0.9)
+    expected = _outcome(lambda: _per_member_forward(paulis, p_b, device))
+    assert isinstance(expected[0], type)
+    assert _outcome(lambda: _forward(paulis, p_b, device, None)) == expected
+
+
+def test_a_table_without_a_failing_member_equals_the_member_loop():
+    paulis, p_b = _physical_stack(40)
+    records = _per_member_forward(paulis, p_b, default_device(0.9))
+    table = _forward(paulis, p_b, default_device(0.9), None)
+    assert table.tolist() == [[r.p_x, r.p_y, r.p_z, r.p_b] for r in records]
+
+
+# (P_X, P_Y, P_Z, P_B) rows that fail one reconstruction check at visibility
+# 0.5: a saturated background (under which the rest reads near the origin), a
+# component past 1 and a vector past the unit ball; at 5e-324 every row
+# overflows to infinity
+_FAILING_ROWS = {
+    "saturated": (1.0 - 0.75e-13, 1.0 - 0.75e-13, 1.0 - 0.75e-13, 1.0 - 1e-13),
+    "component": (1.0, 0.5, 0.5, 0.0),
+    "ball": (0.45, 0.05, 0.25, 0.0),
+}
+
+
+@pytest.mark.parametrize("visibility", [0.5, 5e-324])
+@pytest.mark.parametrize(
+    "failures",
+    [{at: kind} for kind in _FAILING_ROWS for at in (0, 2)]
+    + [{1: "ball", 2: "saturated"}, {0: "saturated", 2: "component"}, {}],
+)
+def test_table_reconstruction_raises_what_the_first_failing_record_raises(failures, visibility):
+    table = np.array([[0.3, 0.25, 0.2, 0.1]] * 3)
+    for at, kind in failures.items():
+        table[at] = _FAILING_ROWS[kind]
+    records = [TomographyRecord(*row) for row in table.tolist()]
+    expected = _outcome(lambda: _per_record(records, visibility))
+    assert _outcome(lambda: _per_table(table, visibility)) == expected
+    assert isinstance(expected[0], type) == (bool(failures) or visibility < 0.5)
+
+
+@pytest.mark.parametrize("visibility", [0.0, -0.5, math.nan, 2.0, math.inf])
+def test_table_reconstruction_rejects_a_visibility_outside_zero_to_one(visibility):
+    with pytest.raises(DomainError, match="visibility"):
+        bloch_rows(np.array([[0.5, 0.5, 0.5, 0.0]]), visibility)
+
+
+@pytest.mark.parametrize("component", [math.nan, math.inf, -math.inf])
+def test_a_direction_needs_a_finite_bloch_vector(component):
+    vector = BlochVector(0.0, component, 0.5)
+    with pytest.raises(DomainError, match="not finite"):
+        polar_azimuth(vector)
+    rows = np.array([[0.0, 0.0, 1.0], [*vector], [0.0, 0.0, 0.0]])
+    with pytest.raises(DomainError, match="not finite"):
+        polar_angles(rows)
+
+
+def test_table_angles_raise_at_the_first_short_or_non_finite_row():
+    rows = np.array([[0.0, 0.0, 1.0], [1e-12, 0.0, 0.0], [math.nan, 0.0, 0.0]])
+    with pytest.raises(UndefinedDirectionError):
+        polar_angles(rows)
+    with pytest.raises(DomainError, match="not finite"):
+        polar_angles(rows[::-1].copy())
