@@ -177,8 +177,8 @@ def bloch_reconstruct(t: TomographyRecord, visibility: float = 1.0) -> BlochVect
 
 
 def bloch_rows(table: np.ndarray, visibility: float = 1.0) -> np.ndarray:
-    """Row by row what :func:`bloch_reconstruct` gives an exact table row, by
-    the same arithmetic and checks; the first failing row raises its error."""
+    """The (k, 3) rows :func:`bloch_reconstruct` gives the exact rows of a (k, 4)
+    table, by the same arithmetic and checks; the first failing row raises its error."""
     probs, p_b = table[:, :3], table[:, 3:]
     # a failing row may divide by zero or overflow; it raises below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -210,8 +210,8 @@ def polar_azimuth(b: BlochVector) -> tuple[float, float]:
 
 
 def polar_angles(vectors: np.ndarray) -> np.ndarray:
-    """Row by row the polar angle :func:`polar_azimuth` gives a Bloch row, by
-    the same arithmetic and checks; the first failing row raises its error."""
+    """The (k,) polar angles :func:`polar_azimuth` gives a (k, 3) stack of Bloch
+    rows, by the same arithmetic and checks; the first failing row raises its error."""
     x, y, z = vectors.T
     with np.errstate(over="ignore", invalid="ignore"):
         valid = np.isfinite(vectors).all(axis=1) & (np.sqrt(x**2 + y**2 + z**2) > ROUNDOFF_TOL)
