@@ -82,6 +82,14 @@ CASES = {
             "out.csv": "59a031aff1c84864815baac80222ec14fe167148f520421ff6d9a5b2fff29452",
         },
     ),
+    # the sampled collapse sweep below unit visibility, with decoherence on
+    "collapse_mc_decohered": (
+        ["collapse", "--mode", "mc", "--shots", "2000"],
+        {**DECOHERED, "p_grid": MC_GRID},
+        {
+            "out.csv": "5d0b01b99f1cc351f75b27c3baee7d47db9feb9aa2978f723db10bcf7094595e",
+        },
+    ),
     # a short recovery pulse and a steep phase, so the measurement phase and
     # the rotation angle both reach the printed numbers
     "uncollapse_exact_short_pulse": (
