@@ -31,7 +31,7 @@ from .qubit import DeviceParams, PureState, default_device
 # exact_tomography_record is not called here; it stays importable from this
 # module, where perfbench/tracer.py looks the per-point record up
 from .tomography import (bloch_reconstruct, bloch_rows, exact_tomography_record,  # noqa: F401
-                         exact_tomography_sweep, polar_angles, polar_azimuth)
+                         exact_tomography_sweep, polar_angles)
 
 COLLAPSE_HEADER = ["p", "P_X", "P_Y", "P_Z", "P_B", "X", "Y", "Z", "theta"]
 UNCOLLAPSE_HEADER = COLLAPSE_HEADER + ["p_success"]
@@ -203,19 +203,17 @@ def cmd_sweep(sweep: SweepSpec, base: ExperimentConfig, kind: str) -> list:
     if sweep.mode == "exact":
         table, p_success = exact_tomography_sweep(base, sweep.p_grid, kind)
         vectors = bloch_rows(table, base.device.visibility)
-        rows = np.column_stack((table, vectors, polar_angles(vectors), p_success)).tolist()
     else:
-        rows = []
-        for row_index, p in enumerate(sweep.p_grid):
-            # row r draws streams 3r ... 3r+2, one per tomography setting
-            record = estimate_probabilities(
-                base.at_strength(p), sweep.shots, sweep.seed, kind=kind, stream_base=3 * row_index
-            )
-            v = bloch_reconstruct(record, base.device.visibility)
-            theta, _ = polar_azimuth(v)
-            rows.append([record.p_x, record.p_y, record.p_z, record.p_b, *v, theta, 1 - record.p_b])
+        # row r draws streams 3r ... 3r+2, one per tomography setting; each
+        # sampled point is reconstructed, unrepaired, on its own
+        records = [estimate_probabilities(base.at_strength(p), sweep.shots, sweep.seed, kind=kind,
+                                          stream_base=3 * r) for r, p in enumerate(sweep.p_grid)]
+        table = np.array([[t.p_x, t.p_y, t.p_z, t.p_b] for t in records])
+        vectors = np.array([[*bloch_reconstruct(t, base.device.visibility)] for t in records])
+        p_success = 1.0 - table[:, 3]
+    rows = np.column_stack((sweep.p_grid, table, vectors, polar_angles(vectors), p_success))
     header = UNCOLLAPSE_HEADER if kind == "uncollapse" else COLLAPSE_HEADER
-    return [_csv(header, [[p, *row][:len(header)] for p, row in zip(sweep.p_grid, rows)])]
+    return [_csv(header, rows[:, :len(header)].tolist())]
 
 
 def _output_paths(command: str, sweep: SweepSpec, out: str) -> list:

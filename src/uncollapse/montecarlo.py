@@ -231,14 +231,16 @@ def estimate_probabilities(
     A detection at any point of a shot counts toward that setting's
     probability, matching what a threshold detector reports; the background
     is estimated from pre-analysis detections pooled over the three
-    settings.  Standard errors are sqrt(P(1-P)/n).  Setting j draws stream
-    ``stream_base + j``.  With ``initials`` (PureStates), member ``3*i + j``
-    is initial i under setting j, drawn from stream ``stream_base + 3*i + j``,
-    and the result is a tuple of one record per initial.  The three
-    settings compile once for any initials.  Each pass of at most
-    ``_SHOT_CHUNK`` shots per stream samples every member as one stack, one
-    ``_shot_uniforms`` buffer (a column slice of it) and one ``_run_batch``
-    call, with the same result for any chunk size.
+    settings.  One array pass turns the counts into every initial's row
+    (P_X, P_Y, P_Z, P_B) and standard errors sqrt(P(1-P)/n), n being
+    ``3 * n_shots`` for P_B.  Setting j draws stream ``stream_base + j``.
+    With ``initials`` (PureStates), member ``3*i + j`` is initial i under
+    setting j, drawn from stream ``stream_base + 3*i + j``, and the result
+    is a tuple of one record per initial.  The three settings compile once
+    for any initials.  Each pass of at most ``_SHOT_CHUNK`` shots per stream
+    samples every member as one stack, one ``_shot_uniforms`` buffer (a
+    column slice of it) and one ``_run_batch`` call, with the same result
+    for any chunk size.
     """
     if n_shots < 1:
         raise DomainError("need at least one shot per setting")
@@ -255,23 +257,10 @@ def estimate_probabilities(
         escaped = outcomes.any(axis=1)
         clicks += np.count_nonzero((escaped | detected).reshape(members, count), axis=1)
         escapes += np.count_nonzero(escaped.reshape(members, count), axis=1)
-    # per initial: the three settings' counts, then the escapes they pool
-    counts = zip(clicks.reshape(-1, 3).tolist(), escapes.reshape(-1, 3).sum(axis=1).tolist())
-    records = tuple(_estimate(hits, pooled, n_shots) for hits, pooled in counts)
+    # counts and shots stay below 2**53, so each quotient is the Python ints' quotient
+    n = np.array([1.0, 1.0, 1.0, 3.0]) * float(n_shots)
+    rates = np.column_stack((clicks.reshape(-1, 3), escapes.reshape(-1, 3).sum(axis=1))) / n
+    errors = np.sqrt(rates * (1.0 - rates) / n)
+    records = tuple(TomographyRecord(*rate, shots=n_shots, stderr=tuple(err[:3]), stderr_b=err[3])
+                    for rate, err in zip(rates.tolist(), errors.tolist()))
     return records[0] if initials is None else records
-
-
-def _estimate(clicks: list, escape_total: int, n_shots: int) -> TomographyRecord:
-    probs = {setting: hits / n_shots for setting, hits in zip(TOMO_SETTINGS, clicks)}
-    errors = {setting: float(np.sqrt(p * (1.0 - p) / n_shots)) for setting, p in probs.items()}
-    pooled = 3 * n_shots
-    p_b = escape_total / pooled
-    return TomographyRecord(
-        p_x=probs["x"],
-        p_y=probs["y"],
-        p_z=probs["z"],
-        p_b=p_b,
-        shots=n_shots,
-        stderr=(errors["x"], errors["y"], errors["z"]),
-        stderr_b=float(np.sqrt(p_b * (1.0 - p_b) / pooled)),
-    )

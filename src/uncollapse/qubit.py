@@ -98,7 +98,8 @@ class BlochVector:
 
     @property
     def norm(self) -> float:
-        return float(np.sqrt(self.x**2 + self.y**2 + self.z**2))
+        # hypot neither overflows nor underflows where the squares would
+        return math.hypot(self.x, self.y, self.z)
 
     def validate(self) -> "BlochVector":
         for name, value in (("x", self.x), ("y", self.y), ("z", self.z)):

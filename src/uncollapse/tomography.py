@@ -194,29 +194,31 @@ def bloch_rows(table: np.ndarray, visibility: float = 1.0) -> np.ndarray:
 def polar_azimuth(b: BlochVector) -> tuple[float, float]:
     """Polar angle in [0, pi] and azimuth in [0, 2*pi) of a finite Bloch vector.
 
+    The polar angle and its checks are :func:`polar_angles` of the one row.
     The azimuth convention matches the pure-state parameterization: a state
     with azimuth phi0 has Bloch components (x, y) = (cos, -sin)*sin(theta),
     so phi = atan2(-y, x).
     """
-    if not all(map(math.isfinite, b)):
-        raise DomainError(f"Bloch vector {b} is not finite")
-    if b.norm <= ROUNDOFF_TOL:
-        raise UndefinedDirectionError("Bloch vector too short to define a direction")
-    # atan2 of (transverse, axial) stays well conditioned at the poles,
-    # where arccos of the normalized z component loses half the digits
-    theta = float(np.arctan2(np.hypot(b.x, b.y), b.z))
+    theta = float(polar_angles(np.array([[*b]], dtype=float))[0])
     phi = float(np.arctan2(-b.y, b.x) % (2.0 * np.pi))
     return theta, phi
 
 
 def polar_angles(vectors: np.ndarray) -> np.ndarray:
-    """The (k,) polar angles :func:`polar_azimuth` gives a (k, 3) stack of Bloch
-    rows, by the same arithmetic and checks; the first failing row raises its error."""
+    """The (k,) polar angles of a (k, 3) stack of Bloch rows.  The first failing
+    row raises: :class:`DomainError` if it is not finite, else
+    :class:`UndefinedDirectionError` if it is too short to define a direction
+    (a finite row too long to square in float64 still defines one)."""
     x, y, z = vectors.T
     with np.errstate(over="ignore", invalid="ignore"):
         valid = np.isfinite(vectors).all(axis=1) & (np.sqrt(x**2 + y**2 + z**2) > ROUNDOFF_TOL)
     if not valid.all():
-        polar_azimuth(BlochVector(*vectors[valid.argmin()].tolist()))
+        row = BlochVector(*vectors[valid.argmin()].tolist())
+        if not all(map(math.isfinite, row)):
+            raise DomainError(f"Bloch vector {row} is not finite")
+        raise UndefinedDirectionError("Bloch vector too short to define a direction")
+    # atan2 of (transverse, axial) stays well conditioned at the poles,
+    # where arccos of the normalized z component loses half the digits
     return np.arctan2(np.hypot(x, y), z)
 
 

@@ -518,6 +518,27 @@ def test_sampled_reconstruction_that_is_not_finite_exits_3(tmp_path, capsys, com
     assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
 
+@pytest.mark.parametrize("command", ["collapse", "uncollapse", "qpt"])
+def test_sampled_reconstruction_that_is_huge_but_finite_writes_finite_numbers(tmp_path, capsys,
+                                                                              command):
+    # over visibility 1e-300 the sampled components reach about 1e299:
+    # finite, too large to square in float64, and still with a direction
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = _write_config(tmp_path, device={"visibility": 1e-300}, p_grid=[0.0, 0.9])
+    argv = [command, "--config", cfg, "--out", str(out / "x.csv"), "--mode", "mc",
+            "--shots", "200"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = _read_csv(out / "x.csv")
+    values = [float(v) for row in rows for v in row]
+    for chi in out.glob("x_chi_p*.json"):
+        payload = json.loads(chi.read_text(), parse_constant=lambda name: math.nan)
+        values += [v for key in ("chi_real", "chi_imag") for row in payload[key] for v in row]
+    assert len(list(out.iterdir())) == (2 if command == "qpt" else 1)
+    assert all(map(math.isfinite, values)) and max(map(abs, values)) > 1e290
+
+
 def test_exact_qpt_stack_failing_in_its_chi_row_writes_nothing(tmp_path, capsys):
     # the whole p_grid + chi_p runs as one stack; only the chi_p row fails
     out = tmp_path / "out"
@@ -577,6 +598,27 @@ def test_exact_commands_build_no_record_and_reconstruct_no_member_alone(tmp_path
     assert main([command, "--config", cfg, "--out", str(tmp_path / "x.csv"), "--mode", "mc",
                  "--shots", "20"]) == 0
     assert {"bloch_reconstruct", "record"} <= set(calls)
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+@pytest.mark.parametrize("command", ["collapse", "uncollapse"])
+def test_sweeps_read_every_polar_angle_in_one_pass(tmp_path, monkeypatch, command, mode):
+    # both engines hand one row tail their (k, 3) Bloch rows: an angle read
+    # row by row coming back would show up here
+    import uncollapse.cli as cli
+    import uncollapse.tomography as tomography
+
+    calls = []
+    for module in (cli, tomography):
+        for name in ("polar_angles", "polar_azimuth"):
+            if hasattr(module, name):
+                original = getattr(module, name)
+                monkeypatch.setattr(module, name,
+                                    lambda *a, f=original: calls.append(f.__name__) or f(*a))
+    cfg = _write_config(tmp_path, p_grid=[0.04 * i for i in range(20)], decoherence=True)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x.csv"), "--mode", mode,
+                 "--shots", "20"]) == 0
+    assert calls == ["polar_angles"]
 
 
 def _declared_console_scripts():

@@ -1,6 +1,6 @@
 """Shot sampling: convergence to the exact engine and seeding contract."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from uncollapse import (
     RotationPulse,
     SequenceStep,
     StructuralError,
+    TomographyRecord,
     build_uncollapse,
     default_device,
     estimate_probabilities,
@@ -311,6 +312,46 @@ def test_chunked_estimates_are_bit_identical(monkeypatch):
     assert estimate_probabilities(cfg, 50, seed=9, stream_base=6) == whole
     # each pass samples the three settings' streams as one stack
     assert passes == [((6, 7, 8), start, 7) for start in range(0, 49, 7)] + [((6, 7, 8), 49, 1)]
+
+
+def _reference_estimate(clicks: list, escape_total: int, n_shots: int) -> TomographyRecord:
+    # the reference: one initial's counts turned into its record in Python ints and floats
+    probs = {setting: hits / n_shots for setting, hits in zip(TOMO_SETTINGS, clicks)}
+    errors = {setting: float(np.sqrt(p * (1.0 - p) / n_shots)) for setting, p in probs.items()}
+    pooled = 3 * n_shots
+    p_b = escape_total / pooled
+    return TomographyRecord(
+        p_x=probs["x"],
+        p_y=probs["y"],
+        p_z=probs["z"],
+        p_b=p_b,
+        shots=n_shots,
+        stderr=(errors["x"], errors["y"], errors["z"]),
+        stderr_b=float(np.sqrt(p_b * (1.0 - p_b) / pooled)),
+    )
+
+
+@pytest.mark.parametrize("n_shots", [1, 300, 2049])
+@pytest.mark.parametrize("initials", [None, PROBE_STATES])
+def test_estimate_reduces_its_counts_as_the_per_initial_reference(initials, n_shots):
+    # the counts come from one unchunked kernel call; 2,049 shots take two passes
+    rng = np.random.default_rng(n_shots)
+    for i in range(2, 7):
+        cfg, kind = _random_config(rng, i), ("collapse", "uncollapse")[i % 2]
+        seqs = _settings(cfg, kind)
+        members = 3 * (1 if initials is None else len(initials))
+        streams = tuple(range(5, 5 + members))
+        uniforms = _shot_uniforms(17, streams, 0, n_shots, _draw_count(seqs[0], cfg))
+        outcomes, detected = _run_batch(seqs, cfg, uniforms, initials)
+        escaped = outcomes.any(axis=1).reshape(-1, 3, n_shots)
+        clicked = (escaped | detected.reshape(-1, 3, n_shots)).sum(axis=2)
+        want = [_reference_estimate(hits, pooled, n_shots)
+                for hits, pooled in zip(clicked.tolist(), escaped.sum(axis=(1, 2)).tolist())]
+        got = estimate_probabilities(cfg, n_shots, 17, kind, stream_base=5, initials=initials)
+        got = [got] if initials is None else list(got)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert [getattr(g, f.name) for f in fields(g)] == [getattr(w, f.name) for f in fields(w)]
 
 
 def test_estimate_compiles_each_setting_once(monkeypatch):

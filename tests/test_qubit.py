@@ -1,5 +1,7 @@
 """State containers, Bloch conversions, and fidelity."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,14 @@ def test_bloch_validate_rejects_long_vectors():
         BlochVector(0.8, 0.8, 0.8).validate()
     # the constructor itself stays permissive for noisy reconstructions
     BlochVector(0.8, 0.8, 0.8)
+
+
+def test_bloch_norm_of_a_finite_vector_neither_overflows_nor_underflows():
+    # the squares of these components leave the float64 range
+    assert BlochVector(1e300, 0.0, -1e300).norm == math.hypot(1e300, 1e300)
+    assert BlochVector(3e-200, 4e-200, 0.0).norm == 5e-200
+    with pytest.raises(DomainError, match="outside"):
+        BlochVector(1e300, 0.0, 0.0).validate()
 
 
 def test_qubit_state_shape_and_bookkeeping_checks():

@@ -126,6 +126,13 @@ def test_polar_azimuth_conventions():
         polar_azimuth(BlochVector(1e-12, 0.0, 0.0))
 
 
+def test_a_huge_finite_bloch_vector_has_a_direction():
+    # its squared length overflows float64; its direction is still defined
+    assert polar_azimuth(BlochVector(1e300, 0.0, 0.0)) == (math.pi / 2, 0.0)
+    rows = np.array([[0.0, 0.0, 1e300], [1e300, 1e300, 0.0], [-3e299, 0.0, -3e299]])
+    assert polar_angles(rows).tolist() == [0.0, math.pi / 2, 3 * math.pi / 4]
+
+
 def test_polar_azimuth_round_trips_pure_states():
     rng = np.random.default_rng(89)
     for _ in range(100):
