@@ -157,20 +157,17 @@ class PartialMeasurement:
         null, tunnel = _measurement_kraus(np.array([self.p]), np.array([self.phi_m]))[0]
         return KrausSet((null, tunnel), ("null", "tunnel"))
 
+    # Serves reuse within one sweep point only: the reversal's two measurements
+    # share (p, phi_m), and the Monte Carlo engine compiles each point once per
+    # setting.  A sweep does not return to a strength, so entries from earlier
+    # points are dead and a small LRU keeps the few live ones.  It keys on the
+    # arguments as passed, so the escape branch is always spelled transfer().
+    @functools.lru_cache(maxsize=16)
     def transfer(self, effect: str = ESCAPE) -> TransferOp:
         """Null branch as A0 and detection as A1; a detection escapes the well
         unless ``effect`` says otherwise (CLICK for the final readout)."""
-        return _measurement_transfer(self, effect)
-
-
-# Serves reuse within one sweep point only: the reversal's two measurements
-# share (p, phi_m), and the Monte Carlo engine compiles each point once per
-# setting.  A sweep does not return to a strength, so entries from earlier
-# points are dead and a small LRU keeps the few live ones.
-@functools.lru_cache(maxsize=16)
-def _measurement_transfer(m: PartialMeasurement, effect: str) -> TransferOp:
-    no_event, event = measurement_maps(np.array([m.p]), np.array([m.phi_m]))
-    return TransferOp(no_event[0], event[0], effect)
+        no_event, event = measurement_maps(np.array([self.p]), np.array([self.phi_m]))
+        return TransferOp(no_event[0], event[0], effect)
 
 
 def _measurement_kraus(p: np.ndarray, phi_m: np.ndarray) -> np.ndarray:
@@ -225,20 +222,16 @@ class RotationPulse:
             nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z
         )
 
+    @functools.lru_cache(maxsize=64)
     def transfer(self) -> TransferOp:
-        return _rotation_transfer(self)
+        return TransferOp(transfer_matrix([self.unitary()]))
 
 
-@functools.lru_cache(maxsize=64)
-def _rotation_transfer(pulse: RotationPulse) -> TransferOp:
-    return TransferOp(transfer_matrix([pulse.unitary()]))
-
-
-# tomography setting -> (axis, angle) of its analysis pulse
+# tomography setting -> its analysis pulse, one shared object per setting
 _ANALYSIS_PULSES = {
-    "x": ((0.0, 1.0, 0.0), np.pi / 2.0),
-    "y": ((1.0, 0.0, 0.0), np.pi / 2.0),
-    "z": ((0.0, 0.0, 1.0), 0.0),
+    "x": RotationPulse((0.0, 1.0, 0.0), np.pi / 2.0),
+    "y": RotationPulse((1.0, 0.0, 0.0), np.pi / 2.0),
+    "z": RotationPulse((0.0, 0.0, 1.0), 0.0),
 }
 
 
@@ -254,7 +247,7 @@ def tomography_rotation(setting: str) -> RotationPulse:
     """
     if setting not in _ANALYSIS_PULSES:
         raise DomainError(f"unknown tomography setting {setting!r}")
-    return RotationPulse(*_ANALYSIS_PULSES[setting])
+    return _ANALYSIS_PULSES[setting]
 
 
 def pure_dephasing_time(t1_ns: float, t2_ns: float) -> float:

@@ -223,7 +223,7 @@ def _output_paths(command: str, sweep: SweepSpec, out: str) -> list:
     strengths that print alike would share one file, so they are refused
     for every command, as an out-of-range strength is."""
     stem = Path(out)
-    chi_paths = [stem.with_name(f"{stem.stem}_chi_p{_fmt(p)}.json") for p in sweep.chi_p]
+    chi_paths = [stem.parent / f"{stem.stem}_chi_p{_fmt(p)}.json" for p in sweep.chi_p]
     for index, path in enumerate(chi_paths):
         if path in chi_paths[:index]:
             raise ConfigError(f"cannot write output: chi_p strengths that print alike share {path}")

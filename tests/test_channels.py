@@ -5,6 +5,7 @@ import pytest
 
 from uncollapse import (
     DecoherenceStep,
+    DeviceParams,
     DomainError,
     KrausSet,
     PartialMeasurement,
@@ -163,6 +164,14 @@ def test_tomography_rotation_settings_map_the_right_axes():
         tomography_rotation("w")
 
 
+def test_each_setting_has_one_analysis_pulse_object():
+    # the sampler runs an op once for all stacked settings only when it is
+    # one object, so every call for a setting returns the same pulse and map
+    for setting in ("x", "y", "z"):
+        assert tomography_rotation(setting) is tomography_rotation(setting)
+        assert tomography_rotation(setting).transfer() is tomography_rotation(setting).transfer()
+
+
 @pytest.mark.parametrize("duration", [-1.0, float("nan")])
 def test_decoherence_step_rejects_negative_and_nan_durations(duration):
     with pytest.raises(DomainError):
@@ -190,6 +199,21 @@ def test_decoherence_step_gamma_and_lambda():
     step = DecoherenceStep(duration_ns=44.0, t1_ns=450.0, t_phi_ns=600.0)
     assert abs(step.gamma - (1.0 - np.exp(-44.0 / 450.0))) < 1e-15
     assert abs(step.lam - (1.0 - np.exp(-44.0 / 600.0))) < 1e-15
+
+
+@pytest.mark.parametrize("echo", [True, False])
+def test_relaxation_limited_device_has_no_dephasing(echo):
+    # T2 at its bound 2*T1 leaves T_phi infinite: no flip, even over an
+    # infinite step, and no nan from inf/inf
+    device = DeviceParams(t1_ns=450.0, t2_echo_ns=900.0, t2_ramsey_ns=900.0)
+    for duration in (0.0, 10.0, float("inf")):
+        step = DecoherenceStep.for_device(device, duration, echo=echo)
+        assert step.t_phi_ns == float("inf")
+        assert step.lam == 0.0
+        damping, dephasing = decoherence_ops(step)
+        np.testing.assert_array_equal(dephasing.event, np.zeros((4, 4)))
+        assert all(np.isfinite(m).all() for op in (damping, dephasing)
+                   for m in (op.no_event, op.event, op.in_well))
 
 
 def test_decoherence_step_for_device_picks_t2():

@@ -1,6 +1,7 @@
 """Command-line front end: schemas, determinism, and exit codes."""
 
 import contextlib
+import errno
 import importlib.metadata
 import io
 import json
@@ -244,6 +245,10 @@ def test_bad_configs_exit_2(tmp_path):
         ({}, ["--seed", "1.5"]),
         # two chi_p strengths that print alike would write one chi file
         ({"chi_p": [0.47, 0.470000000000001]}, ["--mode", "mc"]),
+        # an empty grid, and a config that is JSON but not an object
+        ({"p_grid": []}, []),
+        pytest.param(b"[0.2, 0.4]", [], id="json-array"),
+        pytest.param(b"7", [], id="bare-number"),
     ],
 )
 @pytest.mark.parametrize("command", ["collapse", "uncollapse", "qpt"])
@@ -261,15 +266,33 @@ def test_malformed_values_exit_2_with_one_error_line(tmp_path, capsys, command, 
     assert not (tmp_path / "x.csv").exists()
 
 
-@pytest.mark.parametrize("out", ["missing/x.csv", "."])
+@pytest.mark.parametrize("out", ["missing/x.csv", ".", "", "/"])
 @pytest.mark.parametrize("command", ["collapse", "uncollapse", "qpt"])
-def test_unwritable_out_exits_2_with_one_error_line(tmp_path, capsys, command, out):
-    # a path in a directory that does not exist, and a path that is a directory
+def test_unwritable_out_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, command, out):
+    # a path in a directory that does not exist, and paths that are
+    # directories, as typed: "" means the working directory, as "." does
+    monkeypatch.chdir(tmp_path)
     cfg = _write_config(tmp_path, p_grid=[0.2], chi_p=[0.4])
-    assert main([command, "--config", cfg, "--out", str(tmp_path / out)]) == 2
+    assert main([command, "--config", cfg, "--out", out]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.count("\n") == 1 and err.startswith("error: ")
+    assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+    assert not Path("/_chi_p0.4.json").exists()
+
+
+@pytest.mark.parametrize("command", ["collapse", "uncollapse", "qpt"])
+def test_a_write_that_fails_after_the_checks_exits_2_with_one_error_line(tmp_path, monkeypatch,
+                                                                         capsys, command):
+    def no_space(path, *args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+    cfg = _write_config(tmp_path, p_grid=[0.2], chi_p=[0.4])
+    monkeypatch.setattr(Path, "write_text", no_space)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("error: cannot write output: ")
 
 
 def test_unwritable_out_fails_before_any_sampling(tmp_path, monkeypatch, capsys):
@@ -484,6 +507,17 @@ def test_qpt_mc_runs_at_the_largest_seed(tmp_path):
     argv = ["qpt", "--config", cfg, "--out", str(tmp_path / "x.csv"), "--mode", "mc",
             "--shots", "20", "--seed", str(2**128 - 1)]
     assert main(argv) == 0
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_relaxation_limited_device_runs_a_decohered_qpt(tmp_path, mode):
+    # T2 = 2*T1 leaves no pure dephasing: T_phi is infinite
+    device = {"t1_ns": 450.0, "t2_echo_ns": 900.0, "t2_ramsey_ns": 900.0}
+    cfg = _write_config(tmp_path, decoherence=True, device=device, p_grid=[0.2], chi_p=[0.4],
+                        shots=200)
+    assert main(["qpt", "--config", cfg, "--mode", mode, "--out", str(tmp_path / "x.csv")]) == 0
+    _, rows = _read_csv(tmp_path / "x.csv")
+    assert 0.0 < float(rows[0][1]) <= 1.0
 
 
 def test_numeric_failure_exits_3(tmp_path):

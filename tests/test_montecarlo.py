@@ -27,6 +27,7 @@ from uncollapse import (
     exact_uncollapse_chi,
     process_fidelity,
     sample_sequence,
+    tomography_rotation,
 )
 from uncollapse.channels import CLICK, ESCAPE, STAY
 from uncollapse.montecarlo import _draw_count, _run_batch, _shot_uniforms
@@ -362,6 +363,24 @@ def test_estimate_compiles_each_setting_once(monkeypatch):
     estimate_probabilities(_cfg(p=0.3, decoherence_enabled=True), 15, seed=9)
     # three passes of the three settings, one compile per setting
     assert compile_sequence.cache_info().misses == 3
+
+
+@pytest.mark.parametrize("decoherence", [False, True])
+def test_the_settings_of_an_estimate_share_every_op_but_the_analysis_pulse(monkeypatch,
+                                                                           decoherence):
+    # _run_batch runs an op once for the whole stack only when every
+    # setting's program holds that very object at that position
+    import uncollapse.montecarlo as montecarlo
+
+    calls, run = [], montecarlo._run_batch
+    monkeypatch.setattr(montecarlo, "_run_batch",
+                        lambda seqs, *a: calls.append(seqs) or run(seqs, *a))
+    cfg = _cfg(p=0.3, decoherence_enabled=decoherence)
+    estimate_probabilities(cfg, 5, seed=9, initials=PROBE_STATES)
+    [seqs] = calls
+    programs = [compile_sequence(seq, cfg) for seq in seqs]
+    differing = [ops for ops in zip(*programs, strict=True) if any(op is not ops[0] for op in ops)]
+    assert differing == [tuple(tomography_rotation(s).transfer() for s in TOMO_SETTINGS)]
 
 
 def _numpy_shot(seed, stream, shot, n_draws):
