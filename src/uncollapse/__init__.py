@@ -7,6 +7,8 @@ energy relaxation and dephasing, state tomography, process tomography, and
 Monte Carlo sampling with reproducible counter-based randomness.
 """
 
+from types import ModuleType as _ModuleType
+
 from .channels import (
     DecoherenceStep,
     KrausSet,
@@ -80,65 +82,6 @@ from .tomography import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlochVector",
-    "ChiMatrix",
-    "CpReport",
-    "DecoherenceStep",
-    "DegenerateBackgroundError",
-    "DeviceParams",
-    "DomainError",
-    "ExperimentConfig",
-    "KrausSet",
-    "PROBE_STATES",
-    "PartialMeasurement",
-    "ProbeSet",
-    "PulseSequence",
-    "PulseTiming",
-    "PureState",
-    "QubitState",
-    "RotationPulse",
-    "RunOutcome",
-    "SequenceStep",
-    "ShotRecord",
-    "SimulationError",
-    "SingularInversionError",
-    "StructuralError",
-    "TOMO_SETTINGS",
-    "TomographyRecord",
-    "UndefinedDirectionError",
-    "UndefinedStateError",
-    "amplitude_damping_kraus",
-    "apply_decoherence",
-    "apply_kraus",
-    "apply_partial_null",
-    "apply_partial_tunnel",
-    "apply_rotation",
-    "bloch_from_state",
-    "bloch_reconstruct",
-    "build_partial_collapse",
-    "build_uncollapse",
-    "chi_apply",
-    "cp_diagnostics",
-    "default_device",
-    "dephasing_kraus",
-    "estimate_probabilities",
-    "exact_tomography_record",
-    "exact_uncollapse_chi",
-    "kraus_completeness_check",
-    "montecarlo_uncollapse_chi",
-    "polar_azimuth",
-    "process_fidelity",
-    "pure_dephasing_time",
-    "qpt_reconstruct",
-    "run_exact",
-    "sample_sequence",
-    "state_fidelity",
-    "state_from_angles",
-    "state_from_bloch",
-    "success_probability",
-    "theory_polar_angle",
-    "tomo_probabilities",
-    "tomography_rotation",
-    "with_tomography",
-]
+# the public names imported above, without the submodules
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

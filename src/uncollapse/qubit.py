@@ -102,12 +102,26 @@ class BlochVector:
         return math.hypot(self.x, self.y, self.z)
 
     def validate(self) -> "BlochVector":
-        for name, value in (("x", self.x), ("y", self.y), ("z", self.z)):
-            if not -1.0 - ROUNDOFF_TOL <= value <= 1.0 + ROUNDOFF_TOL:
-                raise DomainError(f"Bloch component {name}={value} outside [-1, 1]")
-        if self.x**2 + self.y**2 + self.z**2 > 1.0 + ROUNDOFF_TOL:
-            raise DomainError(f"Bloch vector of squared length {self.norm**2} leaves the unit ball")
+        """The one-row case of :func:`validate_bloch_rows`."""
+        validate_bloch_rows(np.array([[self.x, self.y, self.z]]))
         return self
+
+
+def validate_bloch_rows(vectors: np.ndarray) -> None:
+    """Check that each row of a (k, 3) stack of Bloch vectors has its components
+    in [-1, 1] and lies in the unit ball, up to roundoff.  The first failing row
+    raises :class:`DomainError` for its first failing check."""
+    x, y, z = vectors.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        passed = np.column_stack((abs(vectors) <= 1.0 + ROUNDOFF_TOL,
+                                  x**2 + y**2 + z**2 <= 1.0 + ROUNDOFF_TOL))
+    if not passed.all():
+        index = passed.all(axis=1).argmin()
+        check, row = passed[index].argmin(), vectors[index].tolist()
+        if check < 3:
+            raise DomainError(f"Bloch component {'xyz'[check]}={row[check]} outside [-1, 1]")
+        squared = math.hypot(*row) ** 2
+        raise DomainError(f"Bloch vector of squared length {squared} leaves the unit ball")
 
 
 def operators_from_pauli(r: np.ndarray) -> np.ndarray:

@@ -14,13 +14,13 @@ setting's rotation.  For v in (0, 1] the forward model is inverted exactly by
     y = -(2*(P_y - p_b)/((1 - p_b)*v) - 1)
     z = -(2*(P_z - p_b)/((1 - p_b)*v) - 1)
 
-given the rotation conventions of :func:`channels.tomography_rotation`; a
-stack of exact states is one table of rows (P_X, P_Y, P_Z, P_B), with no
-record per member, inverted in one pass by :func:`bloch_rows`.
+given the rotation conventions of :func:`channels.tomography_rotation`.  The
+checks and this inversion are written once, for a (k, 4) table of rows
+(P_X, P_Y, P_Z, P_B), in :func:`_check_table` and :func:`bloch_rows`; a
+:class:`TomographyRecord` and :func:`bloch_reconstruct` are their one-row cases.
 """
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,9 +56,29 @@ from .protocol import (
     run_exact,
 )
 from .qubit import (EXACT_TOL, ROUNDOFF_TOL, TRACE_FLOOR, BlochVector, DeviceParams, QubitState,
-                    pauli_vectors)
+                    pauli_vectors, validate_bloch_rows)
 
 TOMO_SETTINGS = ("x", "y", "z")
+_FLIP_YZ = np.array([1.0, -1.0, -1.0])
+
+
+def _check_table(table: np.ndarray, slack) -> np.ndarray:
+    """Check each row (P_X, P_Y, P_Z, P_B) of a (k, 4) table: every probability in
+    [0, 1], then no setting below the background by more than ``slack`` (a scalar
+    or a (k, 3) array).  The first failing row raises :class:`DomainError`."""
+    in_range = (-EXACT_TOL <= table) & (table <= 1.0 + EXACT_TOL)
+    below = table[:, :3] < table[:, 3:] - slack
+    if not in_range.all() or below.any():
+        passed = np.concatenate((in_range, ~below), axis=1)
+        index = passed.all(axis=1).argmin()
+        check, row = passed[index].argmin(), table[index].tolist()
+        name, value = ("p_x", "p_y", "p_z", "p_b")[check % 4], row[check % 4]
+        if check < 4:
+            raise DomainError(f"probability {name}={value} outside [0, 1]")
+        bound = float(np.broadcast_to(slack, (len(table), 3))[index, check - 4])
+        raise DomainError(
+            f"{name}={value} falls below the background {row[3]} by more than {bound}")
+    return table
 
 
 @dataclass(frozen=True)
@@ -66,8 +86,8 @@ class TomographyRecord:
     """Detection probabilities for the three settings plus the background.
 
     ``stderr`` holds per-setting standard errors and ``stderr_b`` the
-    background standard error when the record comes from sampled counts;
-    exact records leave them None.
+    background standard error of a record from sampled counts (three and one
+    finite non-negative numbers); exact records leave both None.
     """
 
     p_x: float
@@ -79,22 +99,17 @@ class TomographyRecord:
     stderr_b: float | None = None
 
     def __post_init__(self):
-        for name, value in self._items() + (("p_b", self.p_b),):
-            if not -EXACT_TOL <= value <= 1.0 + EXACT_TOL:
-                raise DomainError(f"probability {name}={value} outside [0, 1]")
-        for index, (name, value) in enumerate(self._items()):
+        slack = ROUNDOFF_TOL
+        if self.stderr is not None or self.stderr_b is not None:
+            stderr = () if self.stderr is None else self.stderr
+            errors = np.array([*stderr, self.stderr_b], dtype=float)
+            if not (errors.shape == (4,) and all(0.0 <= e < np.inf for e in errors.tolist())):
+                raise DomainError("need three finite non-negative standard errors and one for the "
+                                  f"background, got {self.stderr} and {self.stderr_b}")
             # statistical slack: the pooled background estimate may sit above
             # a single setting's count by a few standard errors
-            slack = ROUNDOFF_TOL
-            if self.stderr is not None and self.stderr_b is not None:
-                slack += 6.0 * float(np.hypot(self.stderr[index], self.stderr_b))
-            if value < self.p_b - slack:
-                raise DomainError(
-                    f"{name}={value} falls below the background {self.p_b} by more than {slack}"
-                )
-
-    def _items(self) -> tuple:
-        return (("p_x", self.p_x), ("p_y", self.p_y), ("p_z", self.p_z))
+            slack += 6.0 * np.hypot(self.stderr, self.stderr_b)
+        _check_table(np.array([[self.p_x, self.p_y, self.p_z, self.p_b]]), slack)
 
     def probability(self, setting: str) -> float:
         try:
@@ -122,83 +137,67 @@ def _forward(paulis: np.ndarray, p_b: np.ndarray, d: DeviceParams, tomo_decohere
     (k, 4) table of rows (P_X, P_Y, P_Z, P_B), from one matrix product for the
     whole stack.  Every state check runs before any record check, and the
     first failing member names the error."""
-    failed = (paulis[:, 0] <= TRACE_FLOOR) | ~((0.0 <= p_b) & (p_b <= 1.0))
-    for trace, background in zip(paulis[failed, 0].tolist(), p_b[failed].tolist()):
-        if trace <= TRACE_FLOOR:
+    vanished = paulis[:, 0] <= TRACE_FLOOR
+    for member in np.flatnonzero(vanished | ~((0.0 <= p_b) & (p_b <= 1.0)))[:1].tolist():
+        if vanished[member]:
             raise UndefinedStateError("tomography of a vanished conditional state")
-        raise DomainError(f"background probability must lie in [0, 1], got {background}")
+        raise DomainError(f"background probability must lie in [0, 1], got {float(p_b[member])}")
     rows = _readout_rows(d.visibility, tomo_decoherence)
     # one matrix-vector product per member, so that a stack computes exactly
     # what a single state does
     populations = (rows @ (paulis / paulis[:, :1])[:, :, None])[:, :, 0]
     probs = p_b[:, None] + (1.0 - p_b[:, None]) * populations
-    table = np.column_stack((probs, p_b))
-    valid = ((-EXACT_TOL <= table) & (table <= 1.0 + EXACT_TOL)).all(axis=1)
-    valid &= (probs >= p_b[:, None] - ROUNDOFF_TOL).all(axis=1)
-    if not valid.all():
-        TomographyRecord(*table[valid.argmin()].tolist())  # raises the member's error
-    return table
+    return _check_table(np.column_stack((probs, p_b)), ROUNDOFF_TOL)
 
 
-def tomo_probabilities(
-    q: QubitState,
-    p_b: float,
-    d: DeviceParams,
-    tomo_decoherence=None,
-) -> TomographyRecord:
-    """Forward detection model for the three tomography settings.
-
-    ``tomo_decoherence`` optionally decoheres the state during the analysis
-    pulse window (rotation first, then decay), mirroring exact execution of
-    an appended tomography step.
-    """
+def tomo_probabilities(q: QubitState, p_b: float, d: DeviceParams,
+                       tomo_decoherence=None) -> TomographyRecord:
+    """Forward detection model for the three tomography settings: the record of
+    :func:`_forward`'s one row.  ``tomo_decoherence`` optionally decoheres the
+    state during the analysis pulse window (rotation first, then decay),
+    mirroring exact execution of an appended tomography step."""
     table = _forward(pauli_vectors(q.rho[None]), np.array([p_b], dtype=float), d, tomo_decoherence)
     return TomographyRecord(*table[0].tolist())
 
 
 def bloch_reconstruct(t: TomographyRecord, visibility: float = 1.0) -> BlochVector:
-    """Invert the forward model at readout visibility ``visibility`` in (0, 1].
+    """Invert the forward model at readout visibility ``visibility`` in (0, 1]:
+    :func:`bloch_rows` of the record's one row, sampled if it has standard errors."""
+    row = np.array([[t.p_x, t.p_y, t.p_z, t.p_b]], dtype=float)
+    return BlochVector(*bloch_rows(row, visibility, t.stderr is not None).tolist()[0])
 
-    An exact record (one without standard errors) must invert to a physical
-    state, else :class:`DomainError`: float64 roundoff in the record grows by
-    about ``2/((1 - p_b) * v)``.  Sampled records may leave the unit ball,
-    unrepaired here, but must still invert to finite components.
-    """
+
+def bloch_rows(table: np.ndarray, visibility: float = 1.0, sampled: bool = False) -> np.ndarray:
+    """The (k, 3) Bloch rows of a (k, 4) table, inverting the forward model at
+    readout visibility ``visibility`` in (0, 1].  Each row's background must sit
+    below 1 and its inverse must be finite.  Unless ``sampled``, the inverse must
+    also be a physical state (float64 roundoff in a row grows by about
+    ``2/((1 - p_b) * v)``); sampled rows may leave the unit ball, unrepaired here.
+    The first failing row raises its first failing check."""
     if not 0.0 < visibility <= 1.0:
         raise DomainError(f"readout visibility must lie in (0, 1], got {visibility}")
-    if t.p_b >= 1.0 - EXACT_TOL:
-        raise DegenerateBackgroundError("background probability too close to 1")
-    scale = 1.0 / (1.0 - t.p_b)
-    x, y, z = (2.0 * (prob - t.p_b) * scale / visibility - 1.0 for prob in (t.p_x, t.p_y, t.p_z))
-    vec = BlochVector(x, -y, -z)
-    if not all(map(math.isfinite, vec)):
-        raise DomainError(f"reconstruction at visibility {visibility} is not finite: {vec}")
-    return vec if t.stderr is not None else vec.validate()
-
-
-def bloch_rows(table: np.ndarray, visibility: float = 1.0) -> np.ndarray:
-    """The (k, 3) rows :func:`bloch_reconstruct` gives the exact rows of a (k, 4)
-    table, by the same arithmetic and checks; the first failing row raises its error."""
     probs, p_b = table[:, :3], table[:, 3:]
     # a failing row may divide by zero or overflow; it raises below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        vectors = (2.0 * (probs - p_b) * (1.0 / (1.0 - p_b)) / visibility - 1.0) * (1, -1, -1)
-        x, y, z = vectors.T
-        valid = (p_b[:, 0] < 1.0 - EXACT_TOL) & (abs(vectors) <= 1.0 + ROUNDOFF_TOL).all(axis=1)
-        valid &= x**2 + y**2 + z**2 <= 1.0 + ROUNDOFF_TOL
-    if not (valid.all() and 0.0 < visibility <= 1.0):
-        bloch_reconstruct(TomographyRecord(*table[valid.argmin()].tolist()), visibility)
+        vectors = (2.0 * (probs - p_b) * (1.0 / (1.0 - p_b)) / visibility - 1.0) * _FLIP_YZ
+    saturated = p_b[:, 0] >= 1.0 - EXACT_TOL
+    failed = saturated | ~np.isfinite(vectors).all(axis=1)
+    first = failed.argmax() if failed.any() else len(vectors)
+    if not sampled:
+        validate_bloch_rows(vectors[:first])  # the rows before the first failing one
+    if first < len(vectors):
+        if saturated[first]:
+            raise DegenerateBackgroundError("background probability too close to 1")
+        vec = BlochVector(*vectors[first].tolist())
+        raise DomainError(f"reconstruction at visibility {visibility} is not finite: {vec}")
     return vectors
 
 
 def polar_azimuth(b: BlochVector) -> tuple[float, float]:
     """Polar angle in [0, pi] and azimuth in [0, 2*pi) of a finite Bloch vector.
-
-    The polar angle and its checks are :func:`polar_angles` of the one row.
-    The azimuth convention matches the pure-state parameterization: a state
-    with azimuth phi0 has Bloch components (x, y) = (cos, -sin)*sin(theta),
-    so phi = atan2(-y, x).
-    """
+    The polar angle and its checks are :func:`polar_angles` of the one row.  A
+    state of azimuth phi0 has Bloch components (x, y) = (cos, -sin)*sin(theta),
+    so the azimuth is atan2(-y, x)."""
     theta = float(polar_angles(np.array([[*b]], dtype=float))[0])
     phi = float(np.arctan2(-b.y, b.x) % (2.0 * np.pi))
     return theta, phi
@@ -210,12 +209,13 @@ def polar_angles(vectors: np.ndarray) -> np.ndarray:
     :class:`UndefinedDirectionError` if it is too short to define a direction
     (a finite row too long to square in float64 still defines one)."""
     x, y, z = vectors.T
+    finite = np.isfinite(vectors).all(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        valid = np.isfinite(vectors).all(axis=1) & (np.sqrt(x**2 + y**2 + z**2) > ROUNDOFF_TOL)
+        valid = finite & (np.sqrt(x**2 + y**2 + z**2) > ROUNDOFF_TOL)
     if not valid.all():
-        row = BlochVector(*vectors[valid.argmin()].tolist())
-        if not all(map(math.isfinite, row)):
-            raise DomainError(f"Bloch vector {row} is not finite")
+        row = valid.argmin()
+        if not finite[row]:
+            raise DomainError(f"Bloch vector {BlochVector(*vectors[row].tolist())} is not finite")
         raise UndefinedDirectionError("Bloch vector too short to define a direction")
     # atan2 of (transverse, axial) stays well conditioned at the poles,
     # where arccos of the normalized z component loses half the digits

@@ -1,5 +1,6 @@
 """Lint checks that need no linter: unused imports, unread constants, unused
-definitions and stale cross-references.
+definitions, stale cross-references and error messages raised from more than
+one place.
 
 They walk the syntax trees with ``ast``.  A name counts as read where it is
 loaded (``name``) or looked up as an attribute (``module.name``); binding it
@@ -25,6 +26,18 @@ TRACER_IMPORTS = {
     ("tomography", "apply_rotation"),
     ("qpt", "exact_tomography_record"),
     ("cli", "exact_tomography_record"),
+}
+
+# Error messages raised from more than one place, as templates with {} for
+# each formatted field.  A rule's message belongs to the one function that
+# checks the rule; an entry that is raised once again leaves the set.
+DUPLICATE_MESSAGES = {
+    "seed {} outside [0, 2**128)",
+    "unknown sequence kind {}",
+    "measurement strength must lie in [0, 1], got {}",
+    "need at least one initial state",
+    "unknown tomography setting {}",
+    "decay times must be positive",
 }
 
 _CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
@@ -86,6 +99,26 @@ def _unused_definitions(trees: dict) -> set:
     }
 
 
+def _message_templates(tree: ast.AST) -> list:
+    """The constant template of each literal message that ``tree`` raises: the
+    first argument of the raised call, a string or an f-string with {} for each
+    field."""
+    templates = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+            message = node.exc.args[0]
+            if isinstance(message, ast.Constant) and isinstance(message.value, str):
+                templates.append(message.value)
+            elif isinstance(message, ast.JoinedStr):
+                parts = ("{}" if isinstance(v, ast.FormattedValue) else v.value for v in message.values)
+                templates.append("".join(parts))
+    return templates
+
+
+def _repeated(templates: list) -> set:
+    return {template for template in templates if templates.count(template) > 1}
+
+
 def _unresolved(text: str, defined: set) -> set:
     return {name for name in _REFERENCE.findall(text) if name.split(".")[-1] not in defined}
 
@@ -141,3 +174,20 @@ def test_the_reference_check_sees_a_stale_name():
     defined = _defined(ast.parse("def fold(): pass\nclass Pulse:\n    def unitary(self): pass"))
     text = "See :func:`fold`, :meth:`Pulse.unitary`, :func:`fold_exact`, :meth:`Pulse.kraus`."
     assert _unresolved(text, defined) == {"fold_exact", "Pulse.kraus"}
+
+
+def test_each_error_message_is_raised_from_one_place():
+    templates = [t for path in PACKAGE.glob("*.py") for t in _message_templates(_tree(path))]
+    assert _repeated(templates) == DUPLICATE_MESSAGES
+
+
+def test_the_message_check_sees_a_planted_duplicate():
+    code = (
+        "def a(p):\n    raise ValueError(f'p={p} outside [0, 1]')\n"
+        "def b(q):\n    raise KeyError(f'p={q!r} outside [0, 1]') from None\n"
+        "def c(r):\n    raise ValueError('no shots')\n"
+        "def d():\n    raise ValueError(str(3))\n    raise\n"
+    )
+    templates = _message_templates(ast.parse(code))
+    assert sorted(templates) == ["no shots", "p={} outside [0, 1]", "p={} outside [0, 1]"]
+    assert _repeated(templates) == {"p={} outside [0, 1]"}

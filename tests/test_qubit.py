@@ -18,7 +18,7 @@ from uncollapse import (
     state_from_angles,
     state_from_bloch,
 )
-from uncollapse.qubit import validate_states
+from uncollapse.qubit import validate_bloch_rows, validate_states
 
 
 def test_pure_state_amplitudes_are_normalized():
@@ -79,6 +79,41 @@ def test_bloch_validate_rejects_long_vectors():
         BlochVector(0.8, 0.8, 0.8).validate()
     # the constructor itself stays permissive for noisy reconstructions
     BlochVector(0.8, 0.8, 0.8)
+
+
+# a Bloch vector that fails one bound, and the error it raises
+_BAD_BLOCH = [
+    ((1.5, 0.0, 0.0), "Bloch component x=1.5 outside [-1, 1]"),
+    ((0.0, 1.5, 0.1), "Bloch component y=1.5 outside [-1, 1]"),
+    ((0.5, 2.0, -1.25), "Bloch component y=2.0 outside [-1, 1]"),
+    ((0.0, 0.0, math.nan), "Bloch component z=nan outside [-1, 1]"),
+    ((0.8, 0.7, 0.1), "Bloch vector of squared length 1.14 leaves the unit ball"),
+    ((0.8, 0.8, 0.8), "Bloch vector of squared length 1.92 leaves the unit ball"),
+]
+
+
+@pytest.mark.parametrize(
+    "vector, message",
+    _BAD_BLOCH + [  # integers print as given
+        ((2, 0, 0), "Bloch component x=2 outside [-1, 1]"),
+        ((1, 1, 0), "Bloch vector of squared length 2.0000000000000004 leaves the unit ball"),
+    ],
+)
+def test_a_bloch_vector_outside_its_bounds_raises_its_literal_error(vector, message):
+    with pytest.raises(DomainError) as raised:
+        BlochVector(*vector).validate()
+    assert str(raised.value) == message
+
+
+def test_a_stack_of_bloch_rows_raises_at_its_first_failing_row():
+    good = [(0.0, 0.0, 1.0), (0.6, -0.8, 0.0), (1.0 + 1e-10, 0.0, 0.0), (0.0, 0.0, 0.0)]
+    validate_bloch_rows(np.array(good))
+    validate_bloch_rows(np.zeros((0, 3)))
+    # whichever bound the first failing row breaks, its error wins over a later row's
+    for (first, message), (later, _) in zip(_BAD_BLOCH, _BAD_BLOCH[::-1]):
+        with pytest.raises(DomainError) as raised:
+            validate_bloch_rows(np.array([good[1], first, good[0], later]))
+        assert str(raised.value) == message
 
 
 def test_bloch_norm_of_a_finite_vector_neither_overflows_nor_underflows():

@@ -21,3 +21,20 @@ def test_readme_quick_start_runs_and_prints_its_documented_values():
     assert run.returncode == 0, run.stderr
     # p_success and p_background at p = 0.5, then the ideal process fidelity
     assert run.stdout.splitlines()[:3] == ["0.5", "0.5", "1.0"]
+
+
+def test_the_package_exports_its_public_names_and_the_quick_start_imports_them():
+    import types
+
+    import uncollapse
+
+    public = [name for name, value in vars(uncollapse).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    assert uncollapse.__all__ == sorted(public)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    imported = re.search(r"from uncollapse import \((.*?)\)", readme, re.S).group(1)
+    names = [name for name in re.split(r"[\s,]+", imported) if name]
+    assert len(names) == 10
+    namespace = {}
+    exec("from uncollapse import *", namespace)
+    assert set(names) <= set(namespace)

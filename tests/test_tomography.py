@@ -26,8 +26,9 @@ from uncollapse import (
     state_from_bloch,
     tomo_probabilities,
 )
-from uncollapse.qubit import TRACE_FLOOR
+from uncollapse.qubit import ROUNDOFF_TOL, TRACE_FLOOR
 from uncollapse.tomography import (
+    _check_table,
     _forward,
     _readout_rows,
     bloch_rows,
@@ -106,8 +107,62 @@ def test_record_validation_and_statistical_slack():
         p_x=0.28, p_y=0.5, p_z=0.5, p_b=0.3,
         shots=100, stderr=(0.05, 0.05, 0.05), stderr_b=0.03,
     )
+    with pytest.raises(DomainError, match="falls below the background"):
+        TomographyRecord(0.1, 0.1, 0.1, 0.5, stderr=(0.01, 0.01, 0.01), stderr_b=0.01)
     with pytest.raises(DomainError):
         TomographyRecord(p_x=0.5, p_y=0.5, p_z=0.5, p_b=0.5).probability("q")
+
+
+# a record that breaks one bound, and the message it raises
+_RECORD_ERRORS = [
+    (dict(p_x=1.2, p_y=0.5, p_z=0.5, p_b=0.0), "probability p_x=1.2 outside [0, 1]"),
+    (dict(p_x=0.5, p_y=-0.1, p_z=0.5, p_b=0.0), "probability p_y=-0.1 outside [0, 1]"),
+    (dict(p_x=0.5, p_y=0.5, p_z=1.0 + 2e-12, p_b=0.0), "probability p_z=1.000000000002 outside [0, 1]"),
+    (dict(p_x=0.5, p_y=0.5, p_z=0.5, p_b=1.5), "probability p_b=1.5 outside [0, 1]"),
+    (dict(p_x=0.5, p_y=0.5, p_z=0.5, p_b=-0.25), "probability p_b=-0.25 outside [0, 1]"),
+    (dict(p_x=0.1, p_y=0.5, p_z=0.5, p_b=0.3),
+     "p_x=0.1 falls below the background 0.3 by more than 1e-09"),
+    (dict(p_x=0.5, p_y=0.5, p_z=0.1, p_b=0.3, stderr=(0.01, 0.02, 0.03), stderr_b=0.01),
+     "p_z=0.1 falls below the background 0.3 by more than 0.18973666061010275"),
+    # integers print as given
+    (dict(p_x=2, p_y=0, p_z=0, p_b=0), "probability p_x=2 outside [0, 1]"),
+    (dict(p_x=0, p_y=1, p_z=1, p_b=1), "p_x=0 falls below the background 1 by more than 1e-09"),
+]
+
+
+@pytest.mark.parametrize("fields, message", _RECORD_ERRORS)
+def test_a_record_outside_its_bounds_raises_its_literal_error(fields, message):
+    assert _outcome(lambda: TomographyRecord(**fields)) == (DomainError, message)
+
+
+@pytest.mark.parametrize("value", ["0.5", None])
+def test_a_record_of_non_numbers_is_refused(value):
+    with pytest.raises(TypeError):
+        TomographyRecord(value, 0.5, 0.5, 0.0)
+    with pytest.raises(TypeError):
+        BlochVector(value, 0.0, 0.0).validate()
+
+
+@pytest.mark.parametrize(
+    "stderr, stderr_b",
+    [
+        ((math.nan,) * 3, 0.01),
+        ((0.01, 0.01, 0.01), math.nan),
+        ((0.01, math.inf, 0.01), 0.01),
+        ((0.01, 0.01, 0.01), math.inf),
+        ((-1.0,) * 3, 0.0),
+        ((0.01, 0.01, 0.01), -0.01),
+        ((0.01, 0.01), 0.01),
+        ((0.01,) * 4, 0.01),
+        ((0.01, 0.01, 0.01), None),
+        (None, 0.01),
+    ],
+)
+def test_standard_errors_are_three_and_one_finite_non_negative_numbers(stderr, stderr_b):
+    # a nan or negative slack would switch the background check off, and this
+    # row, far below its background, would reconstruct to (-2.6, 2.6, 2.6)
+    with pytest.raises(DomainError, match="standard errors"):
+        TomographyRecord(0.1, 0.1, 0.1, 0.5, stderr=stderr, stderr_b=stderr_b)
 
 
 def test_degenerate_state_raises():
@@ -336,13 +391,27 @@ def _physical_stack(size):
 
 
 # (Pauli vector, background) of a member that fails one check: a vanished
-# trace, a background outside [0, 1], P_Z above 1 and P_Z below the background
+# trace, a background outside [0, 1], P_Z above 1, P_Z below the background,
+# P_X below 0 and P_Y above 1
 _FAILING_MEMBERS = {
     "vanished": ((TRACE_FLOOR, 0.0, 0.0, 0.0), 0.2),
     "background": ((1.0, 0.0, 0.0, 0.0), 1.5),
     "negative_background": ((1.0, 0.6, 0.0, 0.0), -0.1),
     "above_one": ((1.0, 0.0, 0.0, -3.0), 0.5),
     "below_background": ((1.0, 0.0, 0.0, 1.5), 0.5),
+    "p_x_below_zero": ((1.0, -3.0, 0.0, 0.0), 0.0),
+    "p_y_above_one": ((1.0, 0.0, -3.0, 0.0), 0.0),
+}
+
+# the error each member raises at visibility 0.9, wherever it stands in the stack
+_MEMBER_ERRORS = {
+    "vanished": (UndefinedStateError, "tomography of a vanished conditional state"),
+    "background": (DomainError, "background probability must lie in [0, 1], got 1.5"),
+    "negative_background": (DomainError, "background probability must lie in [0, 1], got -0.1"),
+    "above_one": (DomainError, "probability p_z=1.4 outside [0, 1]"),
+    "below_background": (DomainError, "p_z=0.3875 falls below the background 0.5 by more than 1e-09"),
+    "p_x_below_zero": (DomainError, "probability p_x=-0.8999999999999999 outside [0, 1]"),
+    "p_y_above_one": (DomainError, "probability p_y=1.7999999999999998 outside [0, 1]"),
 }
 
 
@@ -367,6 +436,57 @@ def test_a_failing_member_of_a_table_raises_what_the_member_loop_raised(failures
     assert _outcome(lambda: _forward(paulis, p_b, device, None)) == expected
 
 
+@pytest.mark.parametrize("at", [0, 3, 6])
+@pytest.mark.parametrize("kind", list(_FAILING_MEMBERS))
+def test_a_failing_member_raises_its_literal_error(kind, at):
+    paulis, p_b = _physical_stack(7)
+    paulis[at], p_b[at] = _FAILING_MEMBERS[kind]
+    assert _outcome(lambda: _forward(paulis, p_b, default_device(0.9), None)) == _MEMBER_ERRORS[kind]
+
+
+def _one_row_at_a_time(check, rows, *per_row):
+    # the reference: each row checked on its own and the results stacked; the
+    # first row that fails raises
+    results = [check(row[None], *(values[None] for values in extra))
+               for row, *extra in zip(rows, *per_row)]
+    return np.concatenate(results).tolist()
+
+
+def _pairs_between_good_rows(pool, good):
+    # every ordered pair of pool rows, apart and with good rows around them
+    return [np.array([good, first, good, second]) for first in pool for second in pool]
+
+
+# rows (P_X, P_Y, P_Z, P_B) that pass, or fail one record bound; P_Z below
+# the background by 0.02 and P_X by 0.2 pass with the sampled slack, and P_X
+# below it by 0.45 fails with either
+_RECORD_ROWS = np.array([
+    [0.3, 0.25, 0.2, 0.1],
+    [0.5, 0.5, 0.28, 0.3],
+    [0.1, 0.5, 0.5, 0.3],
+    [0.5, 0.5, 0.5, 0.95],
+    [1.2, 0.5, 0.5, 0.0],
+    [0.5, -0.1, 0.5, 0.0],
+    [0.5, 0.5, 0.5, 1.5],
+    [math.nan, 0.5, 0.5, 0.1],
+])
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+def test_a_row_passes_or_fails_the_record_check_as_it_does_alone(sampled):
+    outcomes = set()
+    for table in _pairs_between_good_rows(_RECORD_ROWS, _RECORD_ROWS[0]):
+        if sampled:
+            slack = ROUNDOFF_TOL + 6.0 * np.hypot(np.linspace(0.01, 0.06, 12).reshape(4, 3), 0.03)
+            expected = _outcome(lambda: _one_row_at_a_time(_check_table, table, slack))
+        else:
+            slack = ROUNDOFF_TOL
+            expected = _outcome(lambda: _one_row_at_a_time(lambda row: _check_table(row, slack), table))
+        assert _outcome(lambda: _check_table(table, slack).tolist()) == expected
+        outcomes.add(expected[1] if isinstance(expected, tuple) else "passed")
+    assert len(outcomes) == (7 if sampled else 8)
+
+
 def test_a_table_without_a_failing_member_equals_the_member_loop():
     paulis, p_b = _physical_stack(40)
     records = _per_member_forward(paulis, p_b, default_device(0.9))
@@ -381,8 +501,21 @@ def test_a_table_without_a_failing_member_equals_the_member_loop():
 _FAILING_ROWS = {
     "saturated": (1.0 - 0.75e-13, 1.0 - 0.75e-13, 1.0 - 0.75e-13, 1.0 - 1e-13),
     "component": (1.0, 0.5, 0.5, 0.0),
+    "y_component": (0.25, 1.0, 0.5, 0.0),
     "ball": (0.45, 0.05, 0.25, 0.0),
 }
+
+# the error each row raises at visibility 0.5, wherever it stands in the table
+_ROW_ERRORS = {
+    "saturated": (DegenerateBackgroundError, "background probability too close to 1"),
+    "component": (DomainError, "Bloch component x=3.0 outside [-1, 1]"),
+    "y_component": (DomainError, "Bloch component y=-3.0 outside [-1, 1]"),
+    "ball": (DomainError, "Bloch vector of squared length 1.28 leaves the unit ball"),
+}
+_NOT_FINITE = (
+    DomainError,
+    "reconstruction at visibility 5e-324 is not finite: BlochVector(x=inf, y=-inf, z=-inf)",
+)
 
 
 @pytest.mark.parametrize("visibility", [0.5, 5e-324])
@@ -401,6 +534,37 @@ def test_table_reconstruction_raises_what_the_first_failing_record_raises(failur
     assert isinstance(expected[0], type) == (bool(failures) or visibility < 0.5)
 
 
+@pytest.mark.parametrize("at", [0, 2])
+@pytest.mark.parametrize("kind", list(_FAILING_ROWS))
+def test_a_failing_row_raises_its_literal_error(kind, at):
+    table = np.array([[0.3, 0.25, 0.2, 0.1]] * 3)
+    table[at] = _FAILING_ROWS[kind]
+    assert _outcome(lambda: bloch_rows(table, 0.5)) == _ROW_ERRORS[kind]
+    assert _outcome(lambda: bloch_reconstruct(TomographyRecord(*table[at]), 0.5)) == _ROW_ERRORS[kind]
+    # at 5e-324 every row overflows, and only a saturated first row raises first
+    expected = _ROW_ERRORS[kind] if (kind, at) == ("saturated", 0) else _NOT_FINITE
+    assert _outcome(lambda: bloch_rows(table, 5e-324)) == expected
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+def test_a_row_reconstructs_or_fails_as_it_does_alone(sampled):
+    good = [0.3, 0.25, 0.2, 0.1]
+    pool = np.array([good, [0.35, 0.3, 0.25, 0.2], *_FAILING_ROWS.values(), [0.5, math.nan, 0.5, 0.1]])
+    outcomes = set()
+    for table in _pairs_between_good_rows(pool, good):
+        expected = _outcome(lambda: _one_row_at_a_time(lambda row: bloch_rows(row, 0.5, sampled), table))
+        assert _outcome(lambda: bloch_rows(table, 0.5, sampled).tolist()) == expected
+        outcomes.add(expected[1] if isinstance(expected, tuple) else "passed")
+    # sampled rows may leave the unit ball: only the background and finiteness checks fail
+    assert len(outcomes) == (3 if sampled else 6)
+
+
+def test_a_sampled_record_reconstructs_as_a_sampled_row():
+    row = [0.45, 0.05, 0.25, 0.0]
+    record = TomographyRecord(*row, shots=10, stderr=(0.1, 0.1, 0.1), stderr_b=0.1)
+    assert [*bloch_reconstruct(record, 0.5)] == bloch_rows(np.array([row]), 0.5, sampled=True)[0].tolist()
+
+
 @pytest.mark.parametrize("visibility", [0.0, -0.5, math.nan, 2.0, math.inf])
 def test_table_reconstruction_rejects_a_visibility_outside_zero_to_one(visibility):
     with pytest.raises(DomainError, match="visibility"):
@@ -415,6 +579,24 @@ def test_a_direction_needs_a_finite_bloch_vector(component):
     rows = np.array([[0.0, 0.0, 1.0], [*vector], [0.0, 0.0, 0.0]])
     with pytest.raises(DomainError, match="not finite"):
         polar_angles(rows)
+
+
+def test_an_angle_failure_raises_its_literal_error():
+    rows = np.array([[0.0, 0.0, 1.0], [0.0, math.nan, 0.5], [1e-12, 0.0, 0.0]])
+    not_finite = (DomainError, "Bloch vector BlochVector(x=0.0, y=nan, z=0.5) is not finite")
+    short = (UndefinedDirectionError, "Bloch vector too short to define a direction")
+    assert _outcome(lambda: polar_angles(rows)) == not_finite
+    assert _outcome(lambda: polar_angles(rows[::-1].copy())) == short
+    assert _outcome(lambda: polar_azimuth(BlochVector(*rows[1]))) == not_finite
+    assert _outcome(lambda: polar_azimuth(BlochVector(*rows[2]))) == short
+
+
+def test_a_row_has_an_angle_or_fails_as_it_does_alone():
+    good = [0.0, 0.6, -0.8]
+    pool = np.array([good, [1e300, 0.0, 0.0], [0.0, 1e-12, 0.0], [math.inf, 0.0, 0.0], [0.0, 0.0, math.nan]])
+    for table in _pairs_between_good_rows(pool, good):
+        expected = _outcome(lambda: _one_row_at_a_time(polar_angles, table))
+        assert _outcome(lambda: polar_angles(table).tolist()) == expected
 
 
 def test_table_angles_raise_at_the_first_short_or_non_finite_row():
