@@ -13,8 +13,10 @@ numeric failure during the run.
 """
 
 import argparse
+import functools
 import json
 import math
+import os
 import reprlib
 import sys
 from dataclasses import asdict, dataclass
@@ -78,14 +80,11 @@ class SweepSpec:
             raise ConfigError(f"mode must be 'exact' or 'mc', got {self.mode!r}")
         if not self.p_grid:
             raise ConfigError("p_grid must not be empty")
-        previous = -1.0
         for value in self.p_grid + self.chi_p:
             if not 0.0 <= value < 1.0:
                 raise ConfigError(f"strength {value} outside [0, 1)")
-        for value in self.p_grid:
-            if value <= previous:
-                raise ConfigError("p_grid must be strictly increasing")
-            previous = value
+        if any(b <= a for a, b in zip(self.p_grid, self.p_grid[1:])):
+            raise ConfigError("p_grid must be strictly increasing")
         # a shot index is a 64-bit word: a stream holds 2**64 shots
         if not 1 <= self.shots <= 2**64:
             raise ConfigError(f"shots {self.shots} outside [1, 2**64]")
@@ -187,16 +186,14 @@ def assemble(raw: dict, args: argparse.Namespace) -> tuple[SweepSpec, Experiment
 
 
 def _fmt(value: float) -> str:
-    value = float(value)
-    if value == 0.0:
-        value = 0.0  # fold negative zero
-    return format(value, ".12g")
+    return "%.12g" % (float(value) + 0.0)
 
 
-def _csv(header: list, rows: list) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv(header: list, rows) -> str:
+    # each value as _fmt prints it: %.12g, with + 0.0 folding negative zero
+    table = (np.asarray(rows, dtype=float) + 0.0).tolist()
+    line = ",".join(["%.12g"] * len(header))
+    return "\n".join([",".join(header), *(line % tuple(row) for row in table)]) + "\n"
 
 
 def cmd_sweep(sweep: SweepSpec, base: ExperimentConfig, kind: str) -> list:
@@ -213,7 +210,7 @@ def cmd_sweep(sweep: SweepSpec, base: ExperimentConfig, kind: str) -> list:
         p_success = 1.0 - table[:, 3]
     rows = np.column_stack((sweep.p_grid, table, vectors, polar_angles(vectors), p_success))
     header = UNCOLLAPSE_HEADER if kind == "uncollapse" else COLLAPSE_HEADER
-    return [_csv(header, rows[:, :len(header)].tolist())]
+    return [_csv(header, rows[:, :len(header)])]
 
 
 def _output_paths(command: str, sweep: SweepSpec, out: str) -> list:
@@ -262,6 +259,7 @@ def cmd_qpt(sweep: SweepSpec, base: ExperimentConfig) -> list:
     return texts
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uncollapse",
@@ -286,6 +284,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_all(paths: list, texts: list) -> None:
+    """Write each text to a temporary sibling of its path, then move them all
+    into place, so a failed write leaves no new file and changes no old one."""
+    temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
+    try:
+        for temp, text in zip(temps, texts, strict=True):
+            temp.write_text(text, newline="\n")
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    except OSError as exc:
+        # the error names the output, not its temporary
+        exc.filename = dict(zip(map(str, temps), map(str, paths))).get(exc.filename)
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        raise
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -299,8 +314,7 @@ def main(argv=None) -> int:
         # every output is rendered before the first file is written
         texts = (cmd_qpt(sweep, base) if args.command == "qpt"
                  else cmd_sweep(sweep, base, args.command))
-        for path, text in zip(paths, texts, strict=True):
-            path.write_text(text, newline="\n")
+        _write_all(paths, texts)
     except (SimulationError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

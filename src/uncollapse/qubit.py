@@ -152,29 +152,25 @@ def validate_states(rho: np.ndarray, escaped: np.ndarray, require_total: bool = 
     in the order above, each over every member, and the first member that
     fails one names the error.
     """
-    escaped = np.asarray(escaped).tolist()
-    if not (np.isfinite(rho).all() and all(map(math.isfinite, escaped))):
+    escaped = np.asarray(escaped)
+    if not (np.isfinite(rho).all() and np.isfinite(escaped).all()):
         raise DomainError("conditional state or escaped probability is not finite")
     adjoint = rho.conj().swapaxes(-1, -2)
     if (abs(rho - adjoint).reshape(-1, 4).max(axis=1) > EXACT_TOL).any():
         raise DomainError("density operator is not Hermitian")
-    for eig in np.linalg.eigvalsh((rho + adjoint) / 2.0)[:, 0].tolist():
-        if eig < -EXACT_TOL:
-            raise DomainError(f"density operator has negative eigenvalue {eig}")
-    traces = rho.trace(axis1=-2, axis2=-1).real.tolist()
-    for tr in traces:
-        if not -EXACT_TOL <= tr <= 1.0 + EXACT_TOL:
-            raise DomainError(f"conditional trace {tr} outside [0, 1]")
-    for esc in escaped:
-        if not -EXACT_TOL <= esc <= 1.0 + EXACT_TOL:
-            raise DomainError(f"escaped probability {esc} outside [0, 1]")
-    totals = [tr + esc for tr, esc in zip(traces, escaped)]
-    for total in totals:
-        if total > 1.0 + EXACT_TOL:
-            raise DomainError(f"trace + escaped = {total} exceeds 1")
-    for total in totals if require_total else ():
-        if total < 1.0 - EXACT_TOL:
-            raise DomainError(f"trace + escaped = {total} does not close to 1")
+    eigs = np.linalg.eigvalsh((rho + adjoint) / 2.0)[:, 0]
+    if (bad := eigs < -EXACT_TOL).any():
+        raise DomainError(f"density operator has negative eigenvalue {eigs[bad.argmax()].item()}")
+    traces = rho.trace(axis1=-2, axis2=-1).real
+    if (bad := (traces < -EXACT_TOL) | (traces > 1.0 + EXACT_TOL)).any():
+        raise DomainError(f"conditional trace {traces[bad.argmax()].item()} outside [0, 1]")
+    if (bad := (escaped < -EXACT_TOL) | (escaped > 1.0 + EXACT_TOL)).any():
+        raise DomainError(f"escaped probability {escaped[bad.argmax()].item()} outside [0, 1]")
+    totals = traces + escaped
+    if (bad := totals > 1.0 + EXACT_TOL).any():
+        raise DomainError(f"trace + escaped = {totals[bad.argmax()].item()} exceeds 1")
+    if require_total and (bad := totals < 1.0 - EXACT_TOL).any():
+        raise DomainError(f"trace + escaped = {totals[bad.argmax()].item()} does not close to 1")
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,9 @@ from uncollapse.cli import (
     DEFAULT_P_GRID,
     QPT_HEADER,
     UNCOLLAPSE_HEADER,
+    _csv,
+    _fmt,
+    build_parser,
     main,
 )
 
@@ -184,6 +187,8 @@ def test_bad_configs_exit_2(tmp_path):
     assert main(["collapse", "--config", unknown, "--out", str(tmp_path / "x.csv")]) == 2
     unsorted_grid = _write_config(tmp_path, "grid.json", p_grid=[0.5, 0.1])
     assert main(["collapse", "--config", unsorted_grid, "--out", str(tmp_path / "x.csv")]) == 2
+    repeated = _write_config(tmp_path, "repeated.json", p_grid=[0.1, 0.3, 0.3])
+    assert main(["collapse", "--config", repeated, "--out", str(tmp_path / "x.csv")]) == 2
     out_of_range = _write_config(tmp_path, "range.json", p_grid=[0.5, 1.0])
     assert main(["collapse", "--config", out_of_range, "--out", str(tmp_path / "x.csv")]) == 2
     bad_mode = _write_config(tmp_path, "mode.json", mode="analog")
@@ -293,6 +298,85 @@ def test_a_write_that_fails_after_the_checks_exits_2_with_one_error_line(tmp_pat
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.count("\n") == 1 and err.startswith("error: cannot write output: ")
+
+
+@pytest.mark.parametrize("failing, named", [(1, "x.csv"), (2, "x_chi_p0.4.json")])
+def test_a_failed_write_leaves_no_new_file_and_keeps_the_old_ones(tmp_path, monkeypatch, capsys,
+                                                                  failing, named):
+    real_write = Path.write_text
+    calls = []
+
+    def fills_the_disk(path, text, *args, **kwargs):
+        calls.append(path)
+        if len(calls) < failing:
+            return real_write(path, text, *args, **kwargs)
+        real_write(path, text[:len(text) // 2], *args, **kwargs)  # part of it lands
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+    cfg = _write_config(tmp_path, p_grid=[0.2], chi_p=[0.4])
+    old = tmp_path / "x.csv"
+    old.write_bytes(b"p,fidelity\n0.2,0.5\n")
+    monkeypatch.setattr(Path, "write_text", fills_the_disk)
+    assert main(["qpt", "--config", cfg, "--out", str(old)]) == 2
+    assert len(calls) == failing
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json", "x.csv"]
+    assert old.read_bytes() == b"p,fidelity\n0.2,0.5\n"
+    # the message names the output, not the temporary file written beside it
+    assert capsys.readouterr().err == (f"error: cannot write output: [Errno {errno.ENOSPC}] "
+                                       f"{os.strerror(errno.ENOSPC)}: '{tmp_path / named}'\n")
+
+
+def _per_value_csv(header, rows):
+    """The CSV text as one format call per value writes it."""
+    def text(value):
+        value = float(value)
+        return format(0.0 if value == 0.0 else value, ".12g")
+
+    return "".join(f"{line}\n" for line in [",".join(header)] +
+                   [",".join(text(v) for v in row) for row in rows])
+
+
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, sys.float_info.max,
+                -sys.float_info.max, math.inf, -math.inf, math.nan, 0.1234567890125,
+                0.12345678901250001, 1.0000000000005, 999999999999.5, 1e16, 1e-5, 123456789012.0]
+
+
+_CSV_VALUES = st.one_of(st.floats(allow_subnormal=True, allow_infinity=True),
+                        st.sampled_from(_EDGE_VALUES))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.lists(_CSV_VALUES, min_size=3, max_size=3), min_size=1, max_size=8))
+def test_each_csv_row_prints_every_value_as_one_format_call_would(rows):
+    header = ["a", "b", "c"]
+    assert _csv(header, rows) == _csv(header, np.array(rows)) == _per_value_csv(header, rows)
+    assert [_fmt(v) for row in rows for v in row] == [
+        text for line in _per_value_csv(header, rows).split("\n")[1:-1] for text in line.split(",")]
+
+
+def test_the_csv_edge_values_print_as_one_format_call_would():
+    rows = np.reshape(_EDGE_VALUES[:15], (5, 3))
+    assert _csv(["a", "b", "c"], rows) == _per_value_csv(["a", "b", "c"], rows)
+    assert [_fmt(v) for v in _EDGE_VALUES] == [
+        format(0.0 if v == 0.0 else v, ".12g") for v in _EDGE_VALUES]
+    assert _fmt(-0.0) == "0" and _fmt(math.nan) == "nan" and _fmt(-math.inf) == "-inf"
+
+
+def test_the_parser_is_built_once_and_keeps_nothing_between_runs(tmp_path, capsys):
+    cfg = _write_config(tmp_path, p_grid=[0.1, 0.6], chi_p=[0.3])
+    collapse = ["collapse", "--config", cfg, "--out", str(tmp_path / "first.csv")]
+    assert main(collapse) == 0
+    with pytest.raises(SystemExit) as bad_flag:
+        main(["collapse", "--config", cfg, "--out", str(tmp_path / "bad.csv"), "--bogus"])
+    assert bad_flag.value.code == 2
+    qpt = ["qpt", "--config", cfg, "--out", str(tmp_path / "qpt.csv"), "--mode", "mc",
+           "--shots", "40", "--seed", "3", "--pi-fraction", "0.9", "--no-decoherence"]
+    assert main(qpt) == 0
+    assert main(collapse[:-1] + [str(tmp_path / "second.csv")]) == 0
+    assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "second.csv").read_bytes()
+    assert not (tmp_path / "bad.csv").exists()
+    assert build_parser() is build_parser()
+    capsys.readouterr()
 
 
 def test_unwritable_out_fails_before_any_sampling(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,6 @@
 """Lint checks that need no linter: unused imports, unread constants, unused
-definitions, stale cross-references and error messages raised from more than
-one place.
+definitions, stale cross-references, error messages raised from more than
+one place and raised messages that are not written out.
 
 They walk the syntax trees with ``ast``.  A name counts as read where it is
 loaded (``name``) or looked up as an attribute (``module.name``); binding it
@@ -38,6 +38,13 @@ DUPLICATE_MESSAGES = {
     "need at least one initial state",
     "unknown tomography setting {}",
     "decay times must be positive",
+}
+
+# Raises whose message is not a literal or an f-string: each passes on the
+# text of the error it replaces, which the message checks cannot see.
+FROZEN_RERAISES = {
+    ("cli", "raise ConfigError(str(exc)) from exc"),
+    ("qpt", "raise SingularInversionError(str(exc)) from exc"),
 }
 
 _CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
@@ -113,6 +120,23 @@ def _message_templates(tree: ast.AST) -> list:
                 parts = ("{}" if isinstance(v, ast.FormattedValue) else v.value for v in message.values)
                 templates.append("".join(parts))
     return templates
+
+
+def _literal(message: ast.expr) -> bool:
+    return isinstance(message, ast.JoinedStr) or (
+        isinstance(message, ast.Constant) and isinstance(message.value, str))
+
+
+def _opaque_raises(tree: ast.AST) -> list:
+    """The source of each raise in ``tree`` that makes an error without a
+    literal or f-string message, so that :func:`_message_templates` cannot
+    see its text.  A bare ``raise`` passes the caught error on unchanged."""
+    return [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and node.exc is not None
+        and not (isinstance(node.exc, ast.Call) and node.exc.args and _literal(node.exc.args[0]))
+    ]
 
 
 def _repeated(templates: list) -> set:
@@ -191,3 +215,20 @@ def test_the_message_check_sees_a_planted_duplicate():
     templates = _message_templates(ast.parse(code))
     assert sorted(templates) == ["no shots", "p={} outside [0, 1]", "p={} outside [0, 1]"]
     assert _repeated(templates) == {"p={} outside [0, 1]"}
+
+
+def test_every_raised_message_is_written_out():
+    raises = {(path.stem, source)
+              for path in PACKAGE.glob("*.py") for source in _opaque_raises(_tree(path))}
+    assert raises == FROZEN_RERAISES
+
+
+def test_the_written_out_check_sees_a_formatted_template():
+    code = (
+        "def a(x, msg):\n    raise DomainError(msg.format(x))\n"
+        "def b(x):\n    raise DomainError(f'x={x}')\n"
+        "def c():\n    raise DomainError('no shots') from None\n"
+        "def d():\n    raise DomainError\n"
+        "def e():\n    try:\n        pass\n    except OSError:\n        raise\n"
+    )
+    assert _opaque_raises(ast.parse(code)) == ["raise DomainError(msg.format(x))", "raise DomainError"]

@@ -1,5 +1,6 @@
 """State containers, Bloch conversions, and fidelity."""
 
+import itertools
 import math
 
 import numpy as np
@@ -150,6 +151,49 @@ _FAULTY_MEMBERS = [
     (np.array([[0.5, np.nan], [np.nan, 0.5]]), 0.0, r"is not finite"),
     (np.diag([0.5, 0.5]), np.nan, r"is not finite"),
 ]
+
+
+# _FAULTY_MEMBERS in the order validate_states runs its checks, each with the
+# literal message that the check printed when it looped over the members
+_CHECK_ORDER = [(*_FAULTY_MEMBERS[index][:2], message) for index, message in [
+    (6, "conditional state or escaped probability is not finite"),
+    (0, "density operator is not Hermitian"),
+    (1, "density operator has negative eigenvalue -0.15"),
+    (2, "conditional trace 1.2 outside [0, 1]"),
+    (3, "escaped probability -0.2 outside [0, 1]"),
+    (4, "trace + escaped = 1.2000000000000002 exceeds 1"),
+    (5, "trace + escaped = 0.8 does not close to 1"),
+]]
+_GOOD_MEMBER = (np.diag([0.5, 0.5]), 0.0)
+
+
+def _stack(*members):
+    return (np.array([rho for rho, _ in members], dtype=complex),
+            np.array([escaped for _, escaped in members]))
+
+
+@pytest.mark.parametrize("early, late", list(itertools.combinations(range(len(_CHECK_ORDER)), 2)))
+def test_the_earlier_check_names_the_error_whichever_member_fails_it(early, late):
+    # the member failing the later check comes first in the stack
+    stack = _stack(_CHECK_ORDER[late][:2], _GOOD_MEMBER, _CHECK_ORDER[early][:2])
+    with pytest.raises(DomainError) as error:
+        validate_states(*stack)
+    assert str(error.value) == _CHECK_ORDER[early][2]
+
+
+def test_the_first_member_failing_a_check_names_it():
+    stack = _stack(_GOOD_MEMBER, (np.diag([0.7, -0.3]), 0.6), _CHECK_ORDER[2][:2])
+    with pytest.raises(DomainError, match=r"^density operator has negative eigenvalue -0\.3$"):
+        validate_states(*stack)
+
+
+def test_without_the_total_an_open_member_passes_and_every_other_check_still_runs():
+    unclosed = _CHECK_ORDER[-1][:2]
+    validate_states(*_stack(unclosed, _GOOD_MEMBER), require_total=False)
+    for *member, message in _CHECK_ORDER[:-1]:
+        with pytest.raises(DomainError) as error:
+            validate_states(*_stack(unclosed, _GOOD_MEMBER, member), require_total=False)
+        assert str(error.value) == message
 
 
 @pytest.mark.parametrize("rho, escaped, message", _FAULTY_MEMBERS)
