@@ -80,11 +80,14 @@ class SweepSpec:
             raise ConfigError(f"mode must be 'exact' or 'mc', got {self.mode!r}")
         if not self.p_grid:
             raise ConfigError("p_grid must not be empty")
+        previous = -1.0
         for value in self.p_grid + self.chi_p:
             if not 0.0 <= value < 1.0:
                 raise ConfigError(f"strength {value} outside [0, 1)")
-        if any(b <= a for a, b in zip(self.p_grid, self.p_grid[1:])):
-            raise ConfigError("p_grid must be strictly increasing")
+        for value in self.p_grid:
+            if value <= previous:
+                raise ConfigError("p_grid must be strictly increasing")
+            previous = value
         # a shot index is a 64-bit word: a stream holds 2**64 shots
         if not 1 <= self.shots <= 2**64:
             raise ConfigError(f"shots {self.shots} outside [1, 2**64]")
@@ -259,7 +262,7 @@ def cmd_qpt(sweep: SweepSpec, base: ExperimentConfig) -> list:
     return texts
 
 
-@functools.cache  # parse_args leaves the parser as it was
+@functools.cache  # one shared parser per process: parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uncollapse",
@@ -285,19 +288,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_all(paths: list, texts: list) -> None:
-    """Write each text to a temporary sibling of its path, then move them all
-    into place, so a failed write leaves no new file and changes no old one."""
-    temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
+    """Write each text to its path.  A new file, or a regular file with one
+    link in a writable directory (symlinks followed), is staged in a
+    temporary sibling, moved into place with the old file's mode once every
+    text is written; anything else (/dev/null, a pipe) is written in place."""
+    targets = [path.resolve() for path in paths]
+    temps = [t.with_name(f".{t.name}.{os.getpid()}.tmp") if not p.exists() or (p.is_file() and
+             p.stat().st_nlink == 1 and os.access(t.parent, os.W_OK)) else None
+             for p, t in zip(paths, targets)]
     try:
-        for temp, text in zip(temps, texts, strict=True):
-            temp.write_text(text, newline="\n")
-        for temp, path in zip(temps, paths):
-            os.replace(temp, path)
+        for path, temp, text in zip(paths, temps, texts, strict=True):
+            (temp or path).write_text(text, newline="\n")
+        for temp, target in zip(temps, targets):
+            if temp and target.exists():
+                os.chmod(temp, target.stat().st_mode & 0o7777)
+            if temp:
+                os.replace(temp, target)
     except OSError as exc:
-        # the error names the output, not its temporary
-        exc.filename = dict(zip(map(str, temps), map(str, paths))).get(exc.filename)
-        for temp in temps:
+        for temp in filter(None, temps):
             temp.unlink(missing_ok=True)
+        names = {str(temp): str(path) for temp, path in zip(temps, paths) if temp}
+        if exc.filename in names:  # name the output alone, not its temporary
+            exc.filename = names[exc.filename]
+            del exc.filename2
         raise
 
 

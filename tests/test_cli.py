@@ -8,6 +8,7 @@ import json
 import math
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import sysconfig
@@ -187,8 +188,6 @@ def test_bad_configs_exit_2(tmp_path):
     assert main(["collapse", "--config", unknown, "--out", str(tmp_path / "x.csv")]) == 2
     unsorted_grid = _write_config(tmp_path, "grid.json", p_grid=[0.5, 0.1])
     assert main(["collapse", "--config", unsorted_grid, "--out", str(tmp_path / "x.csv")]) == 2
-    repeated = _write_config(tmp_path, "repeated.json", p_grid=[0.1, 0.3, 0.3])
-    assert main(["collapse", "--config", repeated, "--out", str(tmp_path / "x.csv")]) == 2
     out_of_range = _write_config(tmp_path, "range.json", p_grid=[0.5, 1.0])
     assert main(["collapse", "--config", out_of_range, "--out", str(tmp_path / "x.csv")]) == 2
     bad_mode = _write_config(tmp_path, "mode.json", mode="analog")
@@ -324,6 +323,76 @@ def test_a_failed_write_leaves_no_new_file_and_keeps_the_old_ones(tmp_path, monk
     # the message names the output, not the temporary file written beside it
     assert capsys.readouterr().err == (f"error: cannot write output: [Errno {errno.ENOSPC}] "
                                        f"{os.strerror(errno.ENOSPC)}: '{tmp_path / named}'\n")
+
+
+def test_a_failed_move_names_its_output_once_and_leaves_no_temporary(tmp_path, monkeypatch,
+                                                                       capsys):
+    real_replace = os.replace
+    moved = []
+
+    def fails_second(source, target):
+        if moved:
+            raise OSError(errno.EIO, os.strerror(errno.EIO), str(source), None, str(target))
+        moved.append(target)
+        real_replace(source, target)
+
+    cfg = _write_config(tmp_path, p_grid=[0.2], chi_p=[0.4])
+    monkeypatch.setattr(os, "replace", fails_second)
+    assert main(["qpt", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    chi = tmp_path / "x_chi_p0.4.json"
+    assert capsys.readouterr().err == (f"error: cannot write output: [Errno {errno.EIO}] "
+                                       f"{os.strerror(errno.EIO)}: '{chi}'\n")
+    # the moves are the last step: the CSV moved before the failed one stays
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json", "x.csv"]
+
+
+def test_outputs_keep_their_symlinks_hard_links_and_modes(tmp_path):
+    cfg = _write_config(tmp_path, p_grid=[0.2, 0.5])
+    assert main(["collapse", "--config", cfg, "--out", str(tmp_path / "plain.csv")]) == 0
+    expected = (tmp_path / "plain.csv").read_bytes()
+    (tmp_path / "sub").mkdir()
+    real = tmp_path / "sub" / "real.csv"
+    real.write_bytes(b"old\n")
+    real.chmod(0o600)
+    link = tmp_path / "link.csv"
+    link.symlink_to(real)
+    hard = tmp_path / "hard.csv"
+    hard.write_bytes(b"old\n")
+    twin = tmp_path / "twin.csv"
+    os.link(hard, twin)
+    for out in (link, hard):
+        assert main(["collapse", "--config", cfg, "--out", str(out)]) == 0
+    assert link.is_symlink() and real.read_bytes() == expected
+    assert real.stat().st_mode & 0o777 == 0o600
+    # a hard-linked output is written in place, so every name reads the new bytes
+    assert hard.read_bytes() == twin.read_bytes() == expected
+    assert hard.stat().st_ino == twin.stat().st_ino
+    assert sorted(path.name for path in (tmp_path / "sub").iterdir()) == ["real.csv"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "cfg.json", "hard.csv", "link.csv", "plain.csv", "sub", "twin.csv"]
+
+
+@pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="needs named pipes and /dev/stdout")
+def test_an_output_that_is_not_a_regular_file_is_written_in_place(tmp_path):
+    cfg = _write_config(tmp_path, p_grid=[0.2, 0.5])
+    assert main(["collapse", "--config", cfg, "--out", str(tmp_path / "plain.csv")]) == 0
+    pipe = tmp_path / "pipe.csv"
+    os.mkfifo(pipe)
+    # a reader opened first lets the write go through without blocking
+    reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(["collapse", "--config", cfg, "--out", str(pipe)]) == 0
+        assert stat.S_ISFIFO(pipe.lstat().st_mode)
+        assert os.read(reader, 1 << 16) == (tmp_path / "plain.csv").read_bytes()
+    finally:
+        os.close(reader)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json", "pipe.csv",
+                                                                "plain.csv"]
+    # standard output captured through a pipe: /dev/stdout links to no file
+    piped = _run_python(["-m", "uncollapse.cli", "collapse", "--config", cfg, "--out",
+                         "/dev/stdout"], tmp_path)
+    assert piped.returncode == 0, piped.stderr
+    assert piped.stdout == (tmp_path / "plain.csv").read_text()
 
 
 def _per_value_csv(header, rows):
