@@ -30,8 +30,8 @@ from .protocol import ExperimentConfig, PulseTiming
 from .qpt import (PAULI_LABELS, PROBE_STATES, exact_uncollapse_chi, montecarlo_uncollapse_chi,
                   process_fidelity)
 from .qubit import DeviceParams, PureState, default_device
-# exact_tomography_record is not called here; it stays importable from this
-# module, where perfbench/tracer.py looks the per-point record up
+# bloch_reconstruct and exact_tomography_record are not called here; they stay
+# importable here, where perfbench/tracer.py looks the per-point calls up
 from .tomography import (bloch_reconstruct, bloch_rows, exact_tomography_record,  # noqa: F401
                          exact_tomography_sweep, polar_angles)
 
@@ -202,15 +202,14 @@ def _csv(header: list, rows) -> str:
 def cmd_sweep(sweep: SweepSpec, base: ExperimentConfig, kind: str) -> list:
     if sweep.mode == "exact":
         table, p_success = exact_tomography_sweep(base, sweep.p_grid, kind)
-        vectors = bloch_rows(table, base.device.visibility)
     else:
-        # row r draws streams 3r ... 3r+2, one per tomography setting; each
-        # sampled point is reconstructed, unrepaired, on its own
+        # row r draws streams 3r ... 3r+2, one per tomography setting
         records = [estimate_probabilities(base.at_strength(p), sweep.shots, sweep.seed, kind=kind,
                                           stream_base=3 * r) for r, p in enumerate(sweep.p_grid)]
         table = np.array([[t.p_x, t.p_y, t.p_z, t.p_b] for t in records])
-        vectors = np.array([[*bloch_reconstruct(t, base.device.visibility)] for t in records])
         p_success = 1.0 - table[:, 3]
+    # one reconstruction for either engine; sampled rows are left unrepaired
+    vectors = bloch_rows(table, base.device.visibility, sampled=sweep.mode == "mc")
     rows = np.column_stack((sweep.p_grid, table, vectors, polar_angles(vectors), p_success))
     header = UNCOLLAPSE_HEADER if kind == "uncollapse" else COLLAPSE_HEADER
     return [_csv(header, rows[:, :len(header)])]
@@ -219,20 +218,31 @@ def cmd_sweep(sweep: SweepSpec, base: ExperimentConfig, kind: str) -> list:
 def _output_paths(command: str, sweep: SweepSpec, out: str) -> list:
     """Every file ``command`` writes, in the order its texts come (the CSV,
     then for qpt one chi JSON per ``chi_p`` strength), each checked before
-    the run to be a file path in an existing directory.  Two ``chi_p``
-    strengths that print alike would share one file, so they are refused
-    for every command, as an out-of-range strength is."""
+    the run to be a file path in an existing directory and to be no other
+    output's file, by a symlink or a hard link.  Two ``chi_p`` strengths that
+    print alike would share one file, so they are refused for every command,
+    as an out-of-range strength is."""
     stem = Path(out)
     chi_paths = [stem.parent / f"{stem.stem}_chi_p{_fmt(p)}.json" for p in sweep.chi_p]
     for index, path in enumerate(chi_paths):
         if path in chi_paths[:index]:
             raise ConfigError(f"cannot write output: chi_p strengths that print alike share {path}")
     paths = [stem] + (chi_paths if command == "qpt" else [])
+    files = {}
     for path in paths:
         if path.is_dir():
             raise ConfigError(f"cannot write output: {path} is a directory")
         if not path.parent.is_dir():
             raise ConfigError(f"cannot write output: {path.parent} is not a directory")
+        try:
+            keys = [path.resolve()]
+            if path.exists():
+                keys.append((path.stat().st_dev, path.stat().st_ino))
+        except (OSError, RuntimeError) as exc:  # a symlink loop, or a path stat cannot read
+            raise ConfigError(f"cannot write output: {exc}") from exc
+        for key in keys:
+            if files.setdefault(key, path) != path:
+                raise ConfigError(f"cannot write output: {files[key]} and {path} are one file")
     return paths
 
 

@@ -24,8 +24,8 @@ from .errors import SingularInversionError, StructuralError
 from .montecarlo import estimate_probabilities
 from .qubit import PAULI_BASIS, ROUNDOFF_TOL, PureState, operators_from_pauli, state_from_angles
 from .protocol import ExperimentConfig
-# exact_tomography_record is not called here; it stays importable from this
-# module, where perfbench/tracer.py looks the per-probe record up
+# bloch_reconstruct and exact_tomography_record are not called here; they stay
+# importable here, where perfbench/tracer.py looks the per-probe calls up
 from .tomography import (bloch_reconstruct, bloch_rows, exact_tomography_record,  # noqa: F401
                          exact_tomography_sweep)
 
@@ -151,14 +151,15 @@ def montecarlo_uncollapse_chi(
 ) -> ChiMatrix:
     """Process matrix of the reversal sequence from sampled counts.
 
-    The four probes run as one estimate of their four tomography records:
-    probe ``i`` draws from streams ``stream_base + 3*i + j`` (setting j), so
-    the result is reproducible and independent of how shots are batched, and
-    callers that need several matrices under one seed offset ``stream_base``
-    by 12 per matrix.
+    The four probes run as one estimate of their four tomography records,
+    whose (4, 4) table one :func:`bloch_rows` call inverts, unrepaired.  Probe
+    ``i`` draws from streams ``stream_base + 3*i + j`` (setting j), so the
+    result is reproducible and independent of how shots are batched; callers
+    that need several matrices under one seed offset ``stream_base`` by 12.
     """
     records = estimate_probabilities(
         cfg, n_shots, seed, kind="uncollapse", stream_base=stream_base, initials=PROBE_STATES
     )
-    outputs = tuple(bloch_reconstruct(record, cfg.device.visibility) for record in records)
+    table = np.array([[t.p_x, t.p_y, t.p_z, t.p_b] for t in records])
+    outputs = bloch_rows(table, cfg.device.visibility, sampled=True)
     return qpt_reconstruct(ProbeSet(PROBE_STATES, outputs))

@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import uncollapse
-from uncollapse import theory_polar_angle
+from uncollapse import SimulationError, theory_polar_angle
 from uncollapse.cli import (
     COLLAPSE_HEADER,
     DEFAULT_P_GRID,
@@ -370,6 +370,48 @@ def test_outputs_keep_their_symlinks_hard_links_and_modes(tmp_path):
     assert sorted(path.name for path in (tmp_path / "sub").iterdir()) == ["real.csv"]
     assert sorted(path.name for path in tmp_path.iterdir()) == [
         "cfg.json", "hard.csv", "link.csv", "plain.csv", "sub", "twin.csv"]
+
+
+def _snapshot(directory):
+    # every name with its link target or bytes, so that a created or changed file shows
+    return {path.name: os.readlink(path) if path.is_symlink() else path.read_bytes()
+            for path in directory.iterdir()}
+
+
+@pytest.mark.parametrize("link", ["hard", "symlink", "dangling"])
+def test_outputs_that_are_one_file_exit_2_before_the_run(tmp_path, capsys, link):
+    # written one after the other, the chi JSON would replace the CSV it is linked to
+    cfg = _write_config(tmp_path, p_grid=[0.2], chi_p=[0.47])
+    csv, chi = tmp_path / "x.csv", tmp_path / "x_chi_p0.47.json"
+    if link == "dangling":  # two symlinks to one file that does not exist yet
+        csv.symlink_to("new.csv")
+        chi.symlink_to("new.csv")
+    elif link == "hard":
+        csv.write_bytes(b"old\n")
+        os.link(csv, chi)
+    else:
+        csv.write_bytes(b"old\n")
+        chi.symlink_to(csv)
+    before = _snapshot(tmp_path)
+    for mode in ("exact", "mc"):
+        assert main(["qpt", "--config", cfg, "--out", str(csv), "--mode", mode]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write output: {csv} and {chi} are one file\n")
+        assert _snapshot(tmp_path) == before
+    # a sweep writes the CSV alone, so the same names are no collision
+    assert main(["collapse", "--config", cfg, "--out", str(csv)]) == 0
+
+
+@pytest.mark.parametrize("command", ["collapse", "qpt"])
+def test_an_output_in_a_symlink_loop_exits_2_before_the_run(tmp_path, capsys, command):
+    cfg = _write_config(tmp_path, p_grid=[0.2], chi_p=[0.47])
+    (tmp_path / "a.csv").symlink_to("b.csv")
+    (tmp_path / "b.csv").symlink_to("a.csv")
+    before = _snapshot(tmp_path)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "a.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: cannot write output: ")
+    assert _snapshot(tmp_path) == before
 
 
 @pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="needs named pipes and /dev/stdout")
@@ -761,30 +803,99 @@ def test_exact_qpt_compiles_and_folds_once_for_every_row(tmp_path, monkeypatch):
 @pytest.mark.parametrize("command", ["collapse", "uncollapse", "qpt"])
 def test_exact_commands_build_no_record_and_reconstruct_no_member_alone(tmp_path, monkeypatch,
                                                                         command, decoherence):
-    # the exact engine carries one checked table per stack: a per-member
-    # record or reconstruction coming back would show up here
+    # the exact engine carries one checked table per stack and both engines
+    # invert tables: a per-member record or reconstruction coming back would
+    # show up here
     import uncollapse.cli as cli
     import uncollapse.qpt as qpt
     import uncollapse.tomography as tomography
 
     calls = []
     for module in (cli, qpt, tomography):
-        for name in ("bloch_reconstruct", "polar_azimuth"):
+        for name in ("bloch_reconstruct", "bloch_rows", "polar_azimuth"):
             if hasattr(module, name):
                 original = getattr(module, name)
-                monkeypatch.setattr(module, name,
-                                    lambda *a, f=original: calls.append(f.__name__) or f(*a))
+                monkeypatch.setattr(module, name, lambda *a, f=original, **k:
+                                    calls.append(f.__name__) or f(*a, **k))
     post_init = tomography.TomographyRecord.__post_init__
     monkeypatch.setattr(tomography.TomographyRecord, "__post_init__",
                         lambda self: calls.append("record") or post_init(self))
-    cfg = _write_config(tmp_path, p_grid=[0.04 * i for i in range(20)], chi_p=[0.47, 0.9],
-                        decoherence=decoherence)
+    p_grid, chi_p = [0.04 * i for i in range(20)], [0.47, 0.9]
+    cfg = _write_config(tmp_path, p_grid=p_grid, chi_p=chi_p, decoherence=decoherence)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 0
-    assert calls == []
-    # the patches count: the same command in sampled mode makes such calls
+    assert calls == ["bloch_rows"]
+    # sampled mode still builds a record per row (and per probe for qpt), and
+    # inverts one table per sweep and one per qpt row
+    calls.clear()
     assert main([command, "--config", cfg, "--out", str(tmp_path / "x.csv"), "--mode", "mc",
                  "--shots", "20"]) == 0
-    assert {"bloch_reconstruct", "record"} <= set(calls)
+    tables = len(p_grid) + len(chi_p) if command == "qpt" else 1
+    records = 4 * tables if command == "qpt" else len(p_grid)
+    assert sorted(calls) == ["bloch_rows"] * tables + ["record"] * records
+
+
+def _sampled_rows(tmp_path, command, config, shots, seed):
+    """The sweep's config and the reference Bloch vector of each sampled
+    row: its own record, reconstructed alone."""
+    from uncollapse.cli import assemble
+    from uncollapse.montecarlo import estimate_probabilities
+    from uncollapse.tomography import bloch_reconstruct
+
+    cfg = _write_config(tmp_path, f"{command}{seed}.json", mode="mc", shots=shots, seed=seed,
+                        **config)
+    sweep, base = assemble(config, build_parser().parse_args([command, "--out", "x.csv"]))
+    records = [estimate_probabilities(base.at_strength(p), shots, seed, kind=command,
+                                      stream_base=3 * r) for r, p in enumerate(sweep.p_grid)]
+    return cfg, records, lambda t: bloch_reconstruct(t, base.device.visibility)
+
+
+@pytest.mark.parametrize("command", ["collapse", "uncollapse"])
+def test_sampled_sweeps_invert_one_table_as_each_record_alone(tmp_path, monkeypatch, command):
+    import uncollapse.cli as cli
+
+    tables = []
+    bloch_rows = cli.bloch_rows
+    monkeypatch.setattr(cli, "bloch_rows",
+                        lambda *a, **k: tables.append(bloch_rows(*a, **k)) or tables[-1])
+    rng = np.random.default_rng(23)
+    outside = 0
+    for case in range(8):
+        config = {
+            "theta0_rad": float(rng.uniform(0.0, math.pi)),
+            "phi0_rad": float(rng.uniform(0.0, 2.0 * math.pi)),
+            "p_grid": [0.0, *sorted(np.round(rng.uniform(0.01, 0.9, 3), 4).tolist())],
+            "decoherence": bool(case & 1),
+            "device": {"visibility": (1.0, 0.9)[case >> 1 & 1]},
+        }
+        seed = int(rng.integers(2**63))
+        cfg, records, reconstruct = _sampled_rows(tmp_path, command, config,
+                                                  (300, 2049)[case >> 2], seed)
+        out = tmp_path / f"{command}{seed}.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        reference = np.array([[*reconstruct(t)] for t in records])
+        assert (tables.pop() == reference).all()
+        # each row prints its vector as it is, outside the unit ball or not
+        _, rows = _read_csv(out)
+        assert [row[5:8] for row in rows] == [[_fmt(v) for v in vec] for vec in reference]
+        outside += int((np.linalg.norm(reference, axis=1) > 1.0).sum())
+    assert outside > 0
+
+
+@pytest.mark.parametrize("command, seed", [("collapse", 11), ("uncollapse", 0)])
+def test_a_sampled_sweep_fails_at_its_first_saturated_row(tmp_path, capsys, command, seed):
+    # one shot per setting: under this seed row 0 reconstructs and row 1 sees
+    # a detection before analysis in all three settings, so its P_B is 1
+    config = {"p_grid": [0.5, 0.99]}
+    cfg, records, reconstruct = _sampled_rows(tmp_path, command, config, 1, seed)
+    assert 0.0 < records[0].p_b < 1.0 and records[1].p_b == 1.0
+    reconstruct(records[0])
+    with pytest.raises(SimulationError) as failure:
+        reconstruct(records[1])
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([command, "--config", cfg, "--out", str(out / "x.csv")]) == 3
+    assert capsys.readouterr().err == f"error: {failure.value}\n"
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("mode", ["exact", "mc"])

@@ -26,6 +26,8 @@ TRACER_IMPORTS = {
     ("tomography", "apply_rotation"),
     ("qpt", "exact_tomography_record"),
     ("cli", "exact_tomography_record"),
+    ("qpt", "bloch_reconstruct"),
+    ("cli", "bloch_reconstruct"),
 }
 
 # Error messages raised from more than one place, as templates with {} for

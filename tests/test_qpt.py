@@ -309,6 +309,25 @@ def test_sampled_chi_runs_each_pass_of_a_row_as_one_twelve_member_stack(monkeypa
         estimate_probabilities(cfg, 15, seed=5, initials=())
 
 
+def test_sampled_chi_inverts_one_table_as_each_probe_record_alone():
+    from dataclasses import replace
+
+    rng = np.random.default_rng(23)
+    outside = 0
+    for case in range(8):
+        device = replace(default_device(), visibility=(1.0, 0.9)[case >> 1 & 1])
+        cfg = ExperimentConfig(PureState(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi)),
+                               p=rng.uniform(0.0, 0.9), device=device,
+                               decoherence_enabled=bool(case & 1))
+        shots, seed, base = (300, 2049)[case >> 2], int(rng.integers(2**63)), 12 * case
+        chi = montecarlo_uncollapse_chi(cfg, shots, seed, stream_base=base)
+        records = estimate_probabilities(cfg, shots, seed, stream_base=base, initials=PROBE_STATES)
+        outputs = tuple(bloch_reconstruct(r, device.visibility) for r in records)
+        assert (chi.matrix == qpt_reconstruct(ProbeSet(PROBE_STATES, outputs)).matrix).all()
+        outside += sum(vec.norm > 1.0 for vec in outputs)
+    assert outside > 0
+
+
 def test_design_and_probe_checks_still_run_for_every_probe_tuple():
     degenerate = (PureState(0.0), PureState(0.0), PureState(0.0), PureState(0.0))
     outs = tuple(bloch_from_state(state_from_angles(s)) for s in degenerate)
