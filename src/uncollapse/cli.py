@@ -80,14 +80,17 @@ class SweepSpec:
             raise ConfigError(f"mode must be 'exact' or 'mc', got {self.mode!r}")
         if not self.p_grid:
             raise ConfigError("p_grid must not be empty")
-        previous = -1.0
         for value in self.p_grid + self.chi_p:
             if not 0.0 <= value < 1.0:
                 raise ConfigError(f"strength {value} outside [0, 1)")
-        for value in self.p_grid:
-            if value <= previous:
-                raise ConfigError("p_grid must be strictly increasing")
-            previous = value
+        if any(b <= a for a, b in zip(self.p_grid, self.p_grid[1:])):
+            raise ConfigError("p_grid must be strictly increasing")
+        # a qpt command names each chi file by its strength as _fmt prints it
+        printed = {}
+        for count, value in enumerate(self.chi_p, 1):
+            first = printed.setdefault(_fmt(value), value)
+            if len(printed) < count:
+                raise ConfigError(f"chi_p strengths {first} and {value} print alike: {_fmt(value)}")
         # a shot index is a 64-bit word: a stream holds 2**64 shots
         if not 1 <= self.shots <= 2**64:
             raise ConfigError(f"shots {self.shots} outside [1, 2**64]")
@@ -217,17 +220,12 @@ def cmd_sweep(sweep: SweepSpec, base: ExperimentConfig, kind: str) -> list:
 
 def _output_paths(command: str, sweep: SweepSpec, out: str) -> list:
     """Every file ``command`` writes, in the order its texts come (the CSV,
-    then for qpt one chi JSON per ``chi_p`` strength), each checked before
-    the run to be a file path in an existing directory and to be no other
-    output's file, by a symlink or a hard link.  Two ``chi_p`` strengths that
-    print alike would share one file, so they are refused for every command,
-    as an out-of-range strength is."""
+    then for qpt one chi JSON per ``chi_p`` strength, distinct by SweepSpec),
+    each checked before the run to be a file path in an existing directory
+    and to be no other output's file, by a symlink or a hard link."""
     stem = Path(out)
-    chi_paths = [stem.parent / f"{stem.stem}_chi_p{_fmt(p)}.json" for p in sweep.chi_p]
-    for index, path in enumerate(chi_paths):
-        if path in chi_paths[:index]:
-            raise ConfigError(f"cannot write output: chi_p strengths that print alike share {path}")
-    paths = [stem] + (chi_paths if command == "qpt" else [])
+    chi_p = sweep.chi_p if command == "qpt" else ()
+    paths = [stem] + [stem.parent / f"{stem.stem}_chi_p{_fmt(p)}.json" for p in chi_p]
     files = {}
     for path in paths:
         if path.is_dir():
@@ -252,8 +250,7 @@ def cmd_qpt(sweep: SweepSpec, base: ExperimentConfig) -> list:
         # one fold and one reconstruction: row r holds members 4r ... 4r+3
         table, _ = exact_tomography_sweep(base, strengths, initials=PROBE_STATES)
         outputs = bloch_rows(table, base.device.visibility).tolist()
-        chis = [exact_uncollapse_chi(base.at_strength(p), outputs[4 * r:4 * r + 4])
-                for r, p in enumerate(strengths)]
+        chis = [exact_uncollapse_chi(base, outputs[i:i + 4]) for i in range(0, len(outputs), 4)]
     else:
         # row r draws streams 12r ... 12r+11 (probes x settings)
         chis = [montecarlo_uncollapse_chi(base.at_strength(p), sweep.shots, sweep.seed, 12 * r)
@@ -287,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", help="JSON config path (defaults apply when omitted)")
         cmd.add_argument("--out", required=True, help="output CSV path")
-        cmd.add_argument("--mode", choices=["exact", "mc"], help="override config mode")
+        cmd.add_argument("--mode", help="override config mode: exact or mc")
         cmd.add_argument("--shots", help="override shots per setting")
         cmd.add_argument("--seed", help="override master seed")
         cmd.add_argument("--pi-fraction", dest="pi_fraction",

@@ -24,6 +24,7 @@ from uncollapse import (
     pure_dephasing_time,
     state_from_angles,
     tomography_rotation,
+    UndefinedStateError,
 )
 from uncollapse.channels import CLICK, ESCAPE, STAY, decoherence_ops
 
@@ -131,6 +132,29 @@ def test_rotation_pulse_rejects_non_unit_axis():
         RotationPulse((1.0, 1.0, 0.0), np.pi)
     with pytest.raises(DomainError):
         RotationPulse((np.nan, 0.0, 0.0), np.pi)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: RotationPulse((1.0, 0.0), np.pi), DomainError, "rotation axis must be a 3-vector"),
+        (lambda: amplitude_damping_kraus(1.5), DomainError,
+         "damping parameter must lie in [0, 1]"),
+        (lambda: amplitude_damping_kraus(np.nan), DomainError,
+         "damping parameter must lie in [0, 1]"),
+        (lambda: dephasing_kraus(-0.1), DomainError, "dephasing parameter must lie in [0, 1]"),
+        (lambda: dephasing_kraus(np.nan), DomainError, "dephasing parameter must lie in [0, 1]"),
+        (lambda: apply_partial_null(QubitState(np.zeros((2, 2)), 1.0),
+                                    PartialMeasurement(0.3, 0.0)),
+         UndefinedStateError, "partial measurement of a vanished state"),
+    ],
+    ids=["axis-2-vector", "damping-1.5", "damping-nan", "dephasing-negative", "dephasing-nan",
+         "null-of-vanished-state"],
+)
+def test_channel_inputs_are_refused_with_their_message(build, error, message):
+    with pytest.raises(error) as raised:
+        build()
+    assert str(raised.value) == message
 
 
 def test_non_finite_angles_are_rejected_at_construction():

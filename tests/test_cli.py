@@ -13,6 +13,7 @@ import subprocess
 import sys
 import sysconfig
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -230,6 +231,8 @@ def test_bad_configs_exit_2(tmp_path):
         ({"p_error_fraction": None}, []),
         ({"phi_m_rate_rad": "1e999"}, []),
         # flags pass the same checks as the file
+        ({}, ["--mode", "foo"]),
+        ({}, ["--mode", "MC"]),
         ({}, ["--pi-fraction", "nan"]),
         ({}, ["--pi-fraction", "inf"]),
         ({}, ["--pi-fraction", "1e999"]),
@@ -268,6 +271,27 @@ def test_malformed_values_exit_2_with_one_error_line(tmp_path, capsys, command, 
     assert "Traceback" not in err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("alike", [[0.47, 0.470000000000001], [0.3, 0.3]])
+@pytest.mark.parametrize("command", ["collapse", "uncollapse", "qpt"])
+def test_chi_p_strengths_that_print_alike_exit_2_naming_both(tmp_path, capsys, command, alike):
+    # they would name one chi file, so the config is refused for every command
+    cfg = _write_config(tmp_path, p_grid=[0.2], chi_p=[0.1, *alike])
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    first, second = alike
+    assert capsys.readouterr().err == (
+        f"error: chi_p strengths {first} and {second} print alike: {_fmt(second)}\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_collapse_checks_4000_chi_p_strengths_in_one_pass(tmp_path):
+    # a pairwise scan of 4,000 chi paths took 2.3 s on a 2 vCPU Xeon; one
+    # pass over the printed strengths takes milliseconds
+    cfg = _write_config(tmp_path, p_grid=[0.2], chi_p=[round(0.0002 * i, 10) for i in range(4000)])
+    start = time.perf_counter()
+    assert main(["collapse", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 0
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("out", ["missing/x.csv", ".", "", "/"])

@@ -234,23 +234,27 @@ def test_stacked_chi_equals_the_per_probe_reference():
 def test_stacked_exact_qpt_writes_what_one_fold_per_row_writes(monkeypatch):
     # exactly equal, not close: each row's probe outputs come from one fold
     # and one reconstruction over every row, and must give the chi of that
-    # row's own fold
+    # row's own fold.  The rows are handed the command's config, so the
+    # strength of each call is the next of p_grid + chi_p.
     import uncollapse.cli as cli
-
-    def per_row(cfg, outputs):
-        alone = exact_uncollapse_chi(cfg)
-        assert np.array_equal(exact_uncollapse_chi(cfg, outputs).matrix, alone.matrix)
-        return alone
 
     rng = np.random.default_rng(1717)
     grid = tuple(sorted(rng.uniform(0.0, 0.95, 22)))
     for options in _random_configs(rng, 8):
         base = ExperimentConfig(PureState(1.0, 0.5), 0.0, **options)
         sweep = cli.SweepSpec(grid, "exact", 1, 0, (0.47, grid[5]))
+        strengths = iter(sweep.p_grid + sweep.chi_p)
+
+        def per_row(cfg, outputs):
+            alone = exact_uncollapse_chi(cfg.at_strength(next(strengths)))
+            assert np.array_equal(exact_uncollapse_chi(cfg, outputs).matrix, alone.matrix)
+            return alone
+
         stacked = cli.cmd_qpt(sweep, base)
         with monkeypatch.context() as patch:
             patch.setattr(cli, "exact_uncollapse_chi", per_row)
             assert cli.cmd_qpt(sweep, base) == stacked
+        assert next(strengths, None) is None
 
 
 def test_exact_chi_compiles_once_and_checks_positivity_once(monkeypatch):
@@ -339,6 +343,34 @@ def test_design_and_probe_checks_still_run_for_every_probe_tuple():
     for _ in range(2):
         with pytest.raises(SingularInversionError):
             _design_matrix(degenerate)
+
+
+def test_every_probe_set_that_passes_the_gram_check_is_well_conditioned():
+    # the design matrix's condition number is sqrt(cond(Gram)); the Gram
+    # matrix of four pure probes has trace 4 and determinant at least the
+    # floor, so its condition number is at most 4 (4/3)**3 / floor.  The
+    # numerically-singular and LinAlgError raises of qpt.py are therefore
+    # guards that no probe set of PureStates reaches.
+    from uncollapse.qpt import _GRAM_FLOOR, _design_matrix
+
+    bound = np.sqrt(4.0 * (4.0 / 3.0) ** 3 / _GRAM_FLOOR)
+    rng = np.random.default_rng(2024)
+    passed = 0
+    for _ in range(1000):
+        theta, phi = rng.uniform(0.0, np.pi, 4), rng.uniform(0.0, 2.0 * np.pi, 4)
+        # the fourth probe lies near the first, down to far below the floor
+        spread = 10.0 ** rng.uniform(-4.0, 0.0)
+        theta[3] = np.clip(theta[0] + spread * rng.normal(), 0.0, np.pi)
+        phi[3] = phi[0] + spread * rng.normal()
+        probes = tuple(PureState(t, f) for t, f in zip(theta, phi))
+        try:
+            design = _design_matrix(probes)
+        except SingularInversionError as exc:
+            assert str(exc) == "probe states are not linearly independent"
+            continue
+        passed += 1
+        assert np.linalg.cond(design) <= bound
+    assert 0 < passed < 1000
 
 
 def test_both_engines_refuse_an_empty_stack_of_initial_states():

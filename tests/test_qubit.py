@@ -233,6 +233,16 @@ def test_normalized_strips_escape_record():
         QubitState(np.zeros((2, 2)), escaped=1.0).normalized()
 
 
+def test_a_vanished_state_has_no_purity_and_no_bloch_vector():
+    vanished = QubitState(np.zeros((2, 2)), escaped=1.0)
+    with pytest.raises(UndefinedStateError) as raised:
+        vanished.purity
+    assert str(raised.value) == "purity undefined: conditional trace is zero"
+    with pytest.raises(UndefinedStateError) as raised:
+        bloch_from_state(vanished)
+    assert str(raised.value) == "Bloch vector undefined: conditional trace is zero"
+
+
 def test_purity_of_pure_and_maximally_mixed():
     pure = state_from_angles(PureState(1.1, 2.2))
     assert abs(pure.purity - 1.0) < 1e-12

@@ -1,5 +1,7 @@
-"""README drift: the library quick start runs and prints what it promises."""
+"""README drift: the library quick start runs and prints what it promises, and
+the config schema shows the defaults."""
 
+import json
 import os
 import re
 import subprocess
@@ -38,3 +40,13 @@ def test_the_package_exports_its_public_names_and_the_quick_start_imports_them()
     namespace = {}
     exec("from uncollapse import *", namespace)
     assert set(names) <= set(namespace)
+
+
+def test_the_readme_config_schema_shows_the_default_config():
+    from uncollapse.cli import DEFAULT_CONFIG, DEFAULT_P_GRID
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"### Config schema\n.*?```json\n(.*?)```", readme, re.S)
+    assert block is not None, "README has no json block under 'Config schema'"
+    # the README shortens the default grid to its first five values
+    assert json.loads(block.group(1)) == dict(DEFAULT_CONFIG, p_grid=DEFAULT_P_GRID[:5])
