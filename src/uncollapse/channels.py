@@ -36,8 +36,7 @@ from .qubit import (
     EXACT_TOL,
     IDENTITY,
     PAULI_BASIS,
-    SIGMA_X,
-    SIGMA_Y,
+    PAULI_VEC,
     SIGMA_Z,
     TRACE_FLOOR,
     DeviceParams,
@@ -50,16 +49,12 @@ ESCAPE = "escape"
 CLICK = "click"
 STAY = "stay"
 
-# column j is the row-major vec of Pauli matrix j: vec(rho) = _PAULI_VEC @ r / 2
-_PAULI_VEC = np.stack([s.reshape(4) for s in PAULI_BASIS], axis=1)
-
 
 @dataclass(frozen=True)
 class KrausSet:
-    """A labeled collection of 2x2 Kraus operators."""
+    """A collection of 2x2 Kraus operators."""
 
     operators: tuple
-    labels: tuple = ()
 
     def __post_init__(self):
         if len(self.operators) == 0:
@@ -72,8 +67,6 @@ class KrausSet:
             mat.setflags(write=False)
             ops.append(mat)
         object.__setattr__(self, "operators", tuple(ops))
-        if self.labels and len(self.labels) != len(ops):
-            raise DomainError("labels must match operators one to one")
 
 
 def kraus_completeness_check(kraus: KrausSet) -> float:
@@ -101,7 +94,7 @@ def transfer_matrix(operators) -> np.ndarray:
     ops = np.asarray(operators, dtype=complex)
     superop = np.einsum("...kac,...kbd->...abcd", ops, ops.conj())
     superop = superop.reshape(superop.shape[:-4] + (4, 4))
-    return 0.5 * (_PAULI_VEC.conj().T @ superop @ _PAULI_VEC).real
+    return 0.5 * (PAULI_VEC.conj().T @ superop @ PAULI_VEC).real
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +148,7 @@ class PartialMeasurement:
 
     def kraus(self) -> KrausSet:
         null, tunnel = _measurement_kraus(np.array([self.p]), np.array([self.phi_m]))[0]
-        return KrausSet((null, tunnel), ("null", "tunnel"))
+        return KrausSet((null, tunnel))
 
     # Serves reuse within one sweep point only: the reversal's two measurements
     # share (p, phi_m), and the Monte Carlo engine compiles each point once per
@@ -217,10 +210,8 @@ class RotationPulse:
 
     def unitary(self) -> np.ndarray:
         half = self.angle / 2.0
-        nx, ny, nz = self.axis
-        return np.cos(half) * IDENTITY - 1.0j * np.sin(half) * (
-            nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z
-        )
+        axis_sigma = np.tensordot(self.axis, PAULI_BASIS[1:], 1)
+        return np.cos(half) * IDENTITY - 1.0j * np.sin(half) * axis_sigma
 
     @functools.lru_cache(maxsize=64)
     def transfer(self) -> TransferOp:
@@ -259,6 +250,10 @@ def pure_dephasing_time(t1_ns: float, t2_ns: float) -> float:
     if not (t1_ns > 0.0 and t2_ns > 0.0):
         raise DomainError("decay times must be positive")
     rate = 1.0 / t2_ns - 0.5 / t1_ns
+    if not math.isfinite(rate):
+        # a reciprocal overflowed; the equal form T2 / (1 - T2/(2*T1)) does not
+        ratio = t2_ns / (2.0 * t1_ns)
+        return t2_ns / (1.0 - ratio) if ratio < 1.0 else float("inf")
     if rate <= 0.0:
         return float("inf")
     return 1.0 / rate
@@ -304,7 +299,7 @@ def amplitude_damping_kraus(gamma: float) -> KrausSet:
         raise DomainError("damping parameter must lie in [0, 1]")
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=complex)
     k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
-    return KrausSet((k0, k1), ("no_jump", "relax"))
+    return KrausSet((k0, k1))
 
 
 def dephasing_kraus(lam: float) -> KrausSet:
@@ -313,7 +308,7 @@ def dephasing_kraus(lam: float) -> KrausSet:
         raise DomainError("dephasing parameter must lie in [0, 1]")
     k0 = np.sqrt(1.0 - lam / 2.0) * IDENTITY
     k1 = np.sqrt(lam / 2.0) * SIGMA_Z
-    return KrausSet((k0, k1), ("no_flip", "flip"))
+    return KrausSet((k0, k1))
 
 
 @functools.lru_cache(maxsize=64)

@@ -47,11 +47,8 @@ class ShotRecord:
 
     ``outcomes`` holds one detection flag per partial measurement in
     sequence order; ``final_detected`` is the full-measurement click.
-    ``rng_seed`` is the (master_seed, stream_index, shot_index) triple that
-    reproduces the shot.
     """
 
-    rng_seed: tuple
     outcomes: tuple
     final_detected: bool
 
@@ -212,7 +209,6 @@ def sample_sequence(
     uniforms = _shot_uniforms(seed, stream_index, shot_index, 1, n_draws)
     outcomes, detected = _run_batch(seq, cfg, uniforms)
     return ShotRecord(
-        rng_seed=(seed, stream_index, shot_index),
         outcomes=tuple(bool(v) for v in outcomes[0]),
         final_detected=bool(detected[0]),
     )

@@ -34,6 +34,8 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY = np.eye(2, dtype=complex)
 PAULI_BASIS = (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z)
+# column j is the row-major vec of PAULI_BASIS[j]: vec(rho) = PAULI_VEC @ r / 2
+PAULI_VEC = np.stack([s.reshape(4) for s in PAULI_BASIS], axis=1)
 
 TWO_PI = 2.0 * np.pi
 
@@ -127,18 +129,13 @@ def validate_bloch_rows(vectors: np.ndarray) -> None:
 def operators_from_pauli(r: np.ndarray) -> np.ndarray:
     """(k, 2, 2) operators (r0*I + r1*X + r2*Y + r3*Z)/2 of a (k, 4) stack
     of unnormalized Pauli vectors."""
-    t, x, y, z = r.T
-    entries = 0.5 * np.array([t + z, x - 1.0j * y, x + 1.0j * y, t - z])
-    return entries.T.reshape(-1, 2, 2)
+    return (r @ PAULI_VEC.T).reshape(-1, 2, 2) / 2
 
 
 def pauli_vectors(rho: np.ndarray) -> np.ndarray:
-    """(k, 4) unnormalized Pauli vectors (tr rho, <X>, <Y>, <Z>) of a
-    (k, 2, 2) stack of operators."""
-    diag_sum = (rho[:, 0, 0] + rho[:, 1, 1]).real
-    diag_diff = (rho[:, 0, 0] - rho[:, 1, 1]).real
-    coherence = rho[:, 0, 1]
-    return np.array([diag_sum, 2.0 * coherence.real, -2.0 * coherence.imag, diag_diff]).T
+    """(k, 4) unnormalized Pauli vectors Re tr(rho s_j) of a (k, 2, 2) stack of
+    operators, as tr(rho s) = vec(rho) . conj(vec(s)) for a Hermitian s."""
+    return (rho.reshape(-1, 4) @ PAULI_VEC.conj()).real
 
 
 def validate_states(rho: np.ndarray, escaped: np.ndarray, require_total: bool = True) -> None:
@@ -236,8 +233,11 @@ class DeviceParams:
 
     def __post_init__(self):
         for name in ("t1_ns", "t2_echo_ns", "t2_ramsey_ns"):
-            if not getattr(self, name) > 0.0:
+            time = getattr(self, name)
+            if not time > 0.0:
                 raise DomainError(f"{name} must be positive")
+            if math.isinf(1.0 / float(time)):   # each decay rate is a reciprocal
+                raise DomainError(f"{name} {time} is too small: its reciprocal overflows")
         if self.t2_echo_ns > 2.0 * self.t1_ns * (1.0 + EXACT_TOL):
             raise DomainError("t2_echo_ns cannot exceed 2*t1_ns")
         if self.t2_ramsey_ns > self.t2_echo_ns * (1.0 + EXACT_TOL):

@@ -47,12 +47,10 @@ def test_partial_measurement_rejects_bad_strength():
 def test_kraus_set_structure_and_completeness_report():
     # a lone null branch is a legal (incomplete) set; the deficit is
     # reported by the completeness check rather than at construction
-    lone = KrausSet((np.diag([1.0, 0.5]),), ("null",))
+    lone = KrausSet((np.diag([1.0, 0.5]),))
     assert abs(kraus_completeness_check(lone) - 0.75) < 1e-15
     with pytest.raises(DomainError):
         KrausSet((np.eye(3),))
-    with pytest.raises(DomainError):
-        KrausSet((np.eye(2),), ("a", "b"))
     with pytest.raises(DomainError):
         KrausSet(())
 
@@ -217,6 +215,21 @@ def test_pure_dephasing_time_from_rate_subtraction():
     t_phi = pure_dephasing_time(450.0, 350.0)
     assert abs(1.0 / t_phi - (1.0 / 350.0 - 1.0 / 900.0)) < 1e-15
     assert pure_dephasing_time(100.0, 200.0) == np.inf
+
+
+@pytest.mark.parametrize(
+    "t1, t2, t_phi",
+    [(450.0, 1e-310, 1e-310), (1e-310, 1e-310, 2e-310), (1e308, 1e-310, 1e-310),
+     (450.0, 5e-324, 5e-324), (1e-310, 3e-310, np.inf), (1e-310, 350.0, np.inf)],
+)
+def test_pure_dephasing_time_of_a_time_whose_reciprocal_overflows(t1, t2, t_phi):
+    # once returned 0 for T2 = 1e-310 and NaN for T1 = T2 = 1e-310
+    assert pure_dephasing_time(t1, t2) == t_phi
+
+
+def test_a_device_at_times_with_finite_reciprocals_builds_its_steps():
+    device = DeviceParams(1e-308, 1e-308, 1e-308)
+    assert DecoherenceStep.for_device(device, 10.0).t_phi_ns == 2e-308
 
 
 def test_decoherence_step_gamma_and_lambda():

@@ -739,6 +739,20 @@ def test_relaxation_limited_device_runs_a_decohered_qpt(tmp_path, mode):
     assert 0.0 < float(rows[0][1]) <= 1.0
 
 
+@pytest.mark.parametrize("device, key", [
+    ({"t2_echo_ns": 1e-310, "t2_ramsey_ns": 1e-310}, "t2_echo_ns"),
+    ({"t1_ns": 1e-310, "t2_echo_ns": 1e-310, "t2_ramsey_ns": 1e-310}, "t1_ns"),
+])
+@pytest.mark.parametrize("command", ["collapse", "uncollapse", "qpt"])
+def test_a_decay_time_whose_reciprocal_overflows_exits_2_naming_its_key(tmp_path, capsys,
+                                                                       command, device, key):
+    # it once exited 3 with "decay times must be positive"
+    cfg = _write_config(tmp_path, decoherence=True, device=device)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {key} 1e-310 is too small: its reciprocal overflows\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_numeric_failure_exits_3(tmp_path):
     # a strength this close to 1 saturates the reversal background and the
     # reconstruction cannot be carried out

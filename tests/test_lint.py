@@ -1,6 +1,6 @@
-"""Lint checks that need no linter: unused imports, unread constants, unused
-definitions, stale cross-references, error messages raised from more than
-one place and raised messages that are not written out.
+"""Lint checks that need no linter: unused imports, unread constants, unread
+dataclass fields, unused definitions, stale cross-references, error messages
+raised from more than one place and raised messages that are not written out.
 
 They walk the syntax trees with ``ast``.  A name counts as read where it is
 loaded (``name``) or looked up as an attribute (``module.name``); binding it
@@ -11,10 +11,13 @@ class defined in the package.
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "uncollapse"
+# every file that may read a name of the package
+SOURCES = [path for folder in ("src", "tests", "perfbench") for path in (ROOT / folder).rglob("*.py")]
 
 # Imported but not read: these names stay importable from the module, where
 # perfbench/tracer.py looks up the wrappers it times.
@@ -90,6 +93,27 @@ def _constants(tree: ast.Module) -> set:
     return names
 
 
+def _attribute_loads(tree: ast.AST) -> Counter:
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+
+
+def _unread_fields(declaring: list, reading: list) -> set:
+    """(class, field) of each field that a dataclass of the ``declaring`` trees
+    declares and no tree of ``reading`` loads as an attribute, other than in
+    the class's own ``__post_init__``."""
+    loads = sum(map(_attribute_loads, reading), Counter())
+    unread = set()
+    for node in (n for tree in declaring for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        if not any(ast.unparse(d).split("(")[0] == "dataclass" for d in node.decorator_list):
+            continue
+        checks = [f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"]
+        own = sum(map(_attribute_loads, checks), Counter())
+        fields = [f.target.id for f in node.body if isinstance(f, ast.AnnAssign)]
+        unread.update((node.name, name) for name in fields if loads[name] == own[name])
+    return unread
+
+
 def _defined(tree: ast.AST) -> set:
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     return {node.name for node in ast.walk(tree) if isinstance(node, kinds)}
@@ -161,8 +185,7 @@ def test_every_import_in_the_package_is_read():
 
 
 def test_every_module_constant_is_read_somewhere():
-    sources = [path for folder in ("src", "tests", "perfbench") for path in (ROOT / folder).rglob("*.py")]
-    reads = set().union(*(_reads(_tree(path)) for path in sources))
+    reads = set().union(*(_reads(_tree(path)) for path in SOURCES))
     unread = {
         (path.stem, name) for path in PACKAGE.glob("*.py") for name in _constants(_tree(path)) - reads
     }
@@ -173,6 +196,24 @@ def test_the_checks_see_an_unused_import_and_an_unread_constant():
     tree = ast.parse("import os\nfrom math import pi, tau\nLIMIT = 3\n_USED = 2\nprint(tau * _USED)\n")
     assert _imported(tree) - _reads(tree) == {"os", "pi"}
     assert _constants(tree) - _reads(tree) == {"LIMIT"}
+
+
+def test_every_dataclass_field_is_read_somewhere():
+    declaring = [_tree(path) for path in PACKAGE.glob("*.py")]
+    assert not _unread_fields(declaring, [_tree(path) for path in SOURCES])
+
+
+def test_the_field_check_sees_a_field_read_only_by_its_own_check():
+    code = (
+        "@dataclass(frozen=True)\nclass Shot:\n    seed: tuple\n    flags: tuple = ()\n"
+        "    def __post_init__(self):\n        assert self.seed and self.flags\n"
+        "@dataclass\nclass Run:\n    shots: int\n    labels: tuple\n"
+        "    def __post_init__(self):\n        print(self.seed, self.labels)\n"
+        "class Plain:\n    size: int\n"
+        "def use(shot, run):\n    run.labels = shot.flags\n"
+    )
+    tree = ast.parse(code)
+    assert _unread_fields([tree], [tree]) == {("Run", "shots"), ("Run", "labels")}
 
 
 def test_every_top_level_definition_is_read_or_exported():

@@ -12,14 +12,17 @@ from uncollapse import (
     DomainError,
     PureState,
     QubitState,
+    RotationPulse,
     UndefinedStateError,
     bloch_from_state,
     default_device,
     state_fidelity,
     state_from_angles,
     state_from_bloch,
+    tomography_rotation,
 )
-from uncollapse.qubit import validate_bloch_rows, validate_states
+from uncollapse.qubit import (PAULI_BASIS, SIGMA_X, SIGMA_Y, SIGMA_Z, operators_from_pauli,
+                              pauli_vectors, validate_bloch_rows, validate_states)
 
 
 def test_pure_state_amplitudes_are_normalized():
@@ -303,6 +306,63 @@ def test_device_decay_times_must_be_positive_numbers(name, time):
     times = {"t1_ns": 450.0, "t2_echo_ns": 350.0, "t2_ramsey_ns": 120.0, name: time}
     with pytest.raises(DomainError, match=name):
         DeviceParams(**times)
+
+
+@pytest.mark.parametrize("time", [1e-310, 5e-324])
+@pytest.mark.parametrize("name", ["t1_ns", "t2_echo_ns", "t2_ramsey_ns"])
+def test_device_decay_times_must_have_finite_rates(name, time):
+    # the rates are reciprocals, and 1/time overflows below about 5.6e-309
+    times = {"t1_ns": 450.0, "t2_echo_ns": 350.0, "t2_ramsey_ns": 120.0, name: time}
+    with pytest.raises(DomainError) as raised:
+        DeviceParams(**times)
+    assert str(raised.value) == f"{name} {time} is too small: its reciprocal overflows"
+
+
+def _operators_by_component(r):
+    # the component formulas that the Pauli table replaced
+    t, x, y, z = r.T
+    entries = 0.5 * np.array([t + z, x - 1.0j * y, x + 1.0j * y, t - z])
+    return entries.T.reshape(-1, 2, 2)
+
+
+def _pauli_vectors_by_component(rho):
+    diag_sum = (rho[:, 0, 0] + rho[:, 1, 1]).real
+    diag_diff = (rho[:, 0, 0] - rho[:, 1, 1]).real
+    coherence = rho[:, 0, 1]
+    return np.array([diag_sum, 2.0 * coherence.real, -2.0 * coherence.imag, diag_diff]).T
+
+
+def test_the_pauli_table_converts_hermitian_stacks_as_the_component_formulas_did():
+    rng = np.random.default_rng(53)
+    for _ in range(5):
+        # random vectors and operators with exact zeros; a + a' is Hermitian bit for bit
+        r = rng.normal(size=(200, 4)) * (rng.random((200, 4)) < 0.7)
+        a = rng.normal(size=(200, 2, 2)) + 1j * rng.normal(size=(200, 2, 2))
+        a *= rng.random((200, 2, 2)) < 0.7
+        assert np.array_equal(operators_from_pauli(r), _operators_by_component(r))
+        for rho in (_operators_by_component(r), a + a.conj().swapaxes(-1, -2)):
+            assert np.array_equal(pauli_vectors(rho), _pauli_vectors_by_component(rho))
+
+
+def test_a_non_hermitian_operator_has_the_pauli_vector_re_tr_rho_sigma():
+    rng = np.random.default_rng(59)
+    rho = rng.normal(size=(50, 2, 2)) + 1j * rng.normal(size=(50, 2, 2))
+    want = [[np.trace(m @ s).real for s in PAULI_BASIS] for m in rho]
+    assert np.array_equal(pauli_vectors(rho), want)
+
+
+def test_a_rotation_unitary_is_the_sigma_sum_it_was():
+    rng = np.random.default_rng(61)
+    axes = rng.normal(size=(50, 3))
+    pulses = [RotationPulse.about_x(np.pi), RotationPulse.about_x(-0.3)]
+    pulses += [tomography_rotation(setting) for setting in "xyz"]
+    pulses += [RotationPulse(tuple(v / np.linalg.norm(v)), rng.uniform(-7.0, 7.0)) for v in axes]
+    for pulse in pulses:
+        half = pulse.angle / 2.0
+        nx, ny, nz = pulse.axis
+        sigma = nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z
+        want = np.cos(half) * np.eye(2) - 1.0j * np.sin(half) * sigma
+        assert np.array_equal(pulse.unitary(), want)
 
 
 def test_pauli_vector_round_trip():
