@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import os
+import re
 import reprlib
 import sys
 from dataclasses import asdict, dataclass
@@ -27,11 +28,11 @@ import numpy as np
 from .errors import SimulationError
 from .montecarlo import estimate_probabilities
 from .protocol import ExperimentConfig, PulseTiming
-from .qpt import (PAULI_LABELS, PROBE_STATES, exact_uncollapse_chi, montecarlo_uncollapse_chi,
-                  process_fidelity)
+# montecarlo_uncollapse_chi, bloch_reconstruct and exact_tomography_record are not called
+# here; they stay importable here, where perfbench/tracer.py looks the per-row calls up
+from .qpt import (PAULI_LABELS, PROBE_STATES, exact_uncollapse_chi,  # noqa: F401
+                  montecarlo_uncollapse_chi, process_fidelity)
 from .qubit import DeviceParams, PureState, default_device
-# bloch_reconstruct and exact_tomography_record are not called here; they stay
-# importable here, where perfbench/tracer.py looks the per-point calls up
 from .tomography import (bloch_reconstruct, bloch_rows, exact_tomography_record,  # noqa: F401
                          exact_tomography_sweep, polar_angles)
 
@@ -146,14 +147,16 @@ def load_config(path: str | None) -> dict:
     return raw
 
 
+# a number flag: ASCII digits, a leading minus, a point and an exponent at most
+_NUMBER = re.compile(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?")
+
+
 def _number(text: str):
-    """The int or float a number flag spells, else its text for _typed to reject."""
-    for kind in (int, float):
-        try:
-            return kind(text)
-        except ValueError:
-            pass
-    return text
+    """The int or float a number flag spells in the grammar of ``_NUMBER``,
+    else its text for _typed to reject."""
+    if not _NUMBER.fullmatch(text):
+        return text
+    return int(text) if text.lstrip("-").isdigit() else float(text)
 
 
 def assemble(raw: dict, args: argparse.Namespace) -> tuple[SweepSpec, ExperimentConfig]:
@@ -202,17 +205,23 @@ def _csv(header: list, rows) -> str:
     return "\n".join([",".join(header), *(line % tuple(row) for row in table)]) + "\n"
 
 
-def cmd_sweep(sweep: SweepSpec, base: ExperimentConfig, kind: str) -> list:
+def _table(sweep: SweepSpec, base: ExperimentConfig, kind: str, strengths, initials) -> tuple:
+    """The (k, 4) table, the success probabilities and the Bloch rows of
+    ``strengths`` x ``initials`` from either engine, row r*len(initials) + i from
+    strength r and initial i.  Sampled row r draws streams from 3*len(initials)*r;
+    every sampled row is estimated before any is reconstructed, unrepaired."""
     if sweep.mode == "exact":
-        table, p_success = exact_tomography_sweep(base, sweep.p_grid, kind)
+        table, p_success = exact_tomography_sweep(base, strengths, kind, initials)
     else:
-        # row r draws streams 3r ... 3r+2, one per tomography setting
-        records = [estimate_probabilities(base.at_strength(p), sweep.shots, sweep.seed, kind=kind,
-                                          stream_base=3 * r) for r, p in enumerate(sweep.p_grid)]
+        records = [t for r, p in enumerate(strengths) for t in estimate_probabilities(
+            base.at_strength(p), sweep.shots, sweep.seed, kind, 3 * len(initials) * r, initials)]
         table = np.array([[t.p_x, t.p_y, t.p_z, t.p_b] for t in records])
         p_success = 1.0 - table[:, 3]
-    # one reconstruction for either engine; sampled rows are left unrepaired
-    vectors = bloch_rows(table, base.device.visibility, sampled=sweep.mode == "mc")
+    return table, p_success, bloch_rows(table, base.device.visibility, sampled=sweep.mode == "mc")
+
+
+def cmd_sweep(sweep: SweepSpec, base: ExperimentConfig, kind: str) -> list:
+    table, p_success, vectors = _table(sweep, base, kind, sweep.p_grid, (base.initial,))
     rows = np.column_stack((sweep.p_grid, table, vectors, polar_angles(vectors), p_success))
     header = UNCOLLAPSE_HEADER if kind == "uncollapse" else COLLAPSE_HEADER
     return [_csv(header, rows[:, :len(header)])]
@@ -245,16 +254,10 @@ def _output_paths(command: str, sweep: SweepSpec, out: str) -> list:
 
 
 def cmd_qpt(sweep: SweepSpec, base: ExperimentConfig) -> list:
-    strengths = sweep.p_grid + sweep.chi_p
-    if sweep.mode == "exact":
-        # one fold and one reconstruction: row r holds members 4r ... 4r+3
-        table, _ = exact_tomography_sweep(base, strengths, initials=PROBE_STATES)
-        outputs = bloch_rows(table, base.device.visibility).tolist()
-        chis = [exact_uncollapse_chi(base, outputs[i:i + 4]) for i in range(0, len(outputs), 4)]
-    else:
-        # row r draws streams 12r ... 12r+11 (probes x settings)
-        chis = [montecarlo_uncollapse_chi(base.at_strength(p), sweep.shots, sweep.seed, 12 * r)
-                for r, p in enumerate(strengths)]
+    # one table for every row: row r holds probes 4r ... 4r+3
+    _, _, vectors = _table(sweep, base, "uncollapse", sweep.p_grid + sweep.chi_p, PROBE_STATES)
+    outputs = vectors.tolist()
+    chis = [exact_uncollapse_chi(base, outputs[i:i + 4]) for i in range(0, len(outputs), 4)]
     rows = [[p, process_fidelity(chi)] for p, chi in zip(sweep.p_grid, chis)]
     texts = [_csv(QPT_HEADER, rows)]
     for p, chi in zip(sweep.chi_p, chis[len(sweep.p_grid):]):

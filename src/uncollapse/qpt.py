@@ -139,7 +139,7 @@ def cp_diagnostics(chi: ChiMatrix) -> CpReport:
 def exact_uncollapse_chi(cfg: ExperimentConfig, outputs=None) -> ChiMatrix:
     """Process matrix of the reversal sequence from exact evolution, with the
     four probes run as one stack through one compiled sequence, or from
-    ``outputs``, their four Bloch rows taken from a larger stack."""
+    ``outputs``, their four Bloch rows from either engine, without reading ``cfg``."""
     if outputs is None:
         table, _ = exact_tomography_sweep(cfg, None, initials=PROBE_STATES)
         outputs = bloch_rows(table, cfg.device.visibility)

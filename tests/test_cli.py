@@ -682,8 +682,32 @@ def test_number_flags_are_read_as_numbers_and_checked_like_the_file(tmp_path):
     assert main(["uncollapse", "--config", shots, "--out", str(file_out)]) == 0
     assert flag_out.read_bytes() == file_out.read_bytes()
     for flags in (["--pi-fraction", ".5"], ["--seed", str(2**128 - 1), "--shots", "5"],
-                  ["--pi-fraction", "1e300"]):
+                  ["--pi-fraction", "1e300"], ["--shots", "5.", "--seed", "-0"]):
         assert main(["uncollapse", "--config", cfg, "--out", str(tmp_path / "x.csv"), *flags]) == 0
+    # leading zeros are decimal, and an exponent may spell an integer
+    assert main(["uncollapse", "--config", cfg, "--out", str(file_out), "--shots", "007"]) == 0
+    assert flag_out.read_bytes() == file_out.read_bytes()
+    assert main(["uncollapse", "--config", cfg, "--out", str(file_out), "--shots", "0.07E2"]) == 0
+    assert flag_out.read_bytes() == file_out.read_bytes()
+
+
+@pytest.mark.parametrize("flag, text", [
+    ("--shots", "1_000"), ("--shots", "\u0663"), ("--shots", "+5"), ("--shots", " 5"),
+    ("--shots", "5\n"), ("--shots", "\uff15"), ("--seed", "0x10"), ("--seed", ""),
+    ("--pi-fraction", "."), ("--pi-fraction", "1.e"), ("--pi-fraction", "1e+"),
+    ("--pi-fraction", "nan"), ("--pi-fraction", "Infinity"), ("--pi-fraction", "\u0661.\u0665"),
+])
+def test_number_flags_outside_the_ascii_grammar_exit_2_naming_their_key(tmp_path, capsys, flag,
+                                                                        text):
+    # none is a number of the flag grammar, though Python's int or float reads
+    # most of them; a config file has no spelling for them either
+    key = flag.removeprefix("--").replace("-", "_")
+    cfg = _write_config(tmp_path, p_grid=[0.3], mode="mc")
+    assert main(["uncollapse", "--config", cfg, "--out", str(tmp_path / "x.csv"), flag, text]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be ") and err.endswith(f"got {text!r}\n")
+    assert err.count("\n") == 1
+    assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def _mc_streams(tmp_path, monkeypatch, seed, command="qpt"):
@@ -863,13 +887,12 @@ def test_exact_commands_build_no_record_and_reconstruct_no_member_alone(tmp_path
     assert main([command, "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 0
     assert calls == ["bloch_rows"]
     # sampled mode still builds a record per row (and per probe for qpt), and
-    # inverts one table per sweep and one per qpt row
+    # inverts one table per command
     calls.clear()
     assert main([command, "--config", cfg, "--out", str(tmp_path / "x.csv"), "--mode", "mc",
                  "--shots", "20"]) == 0
-    tables = len(p_grid) + len(chi_p) if command == "qpt" else 1
-    records = 4 * tables if command == "qpt" else len(p_grid)
-    assert sorted(calls) == ["bloch_rows"] * tables + ["record"] * records
+    records = 4 * (len(p_grid) + len(chi_p)) if command == "qpt" else len(p_grid)
+    assert sorted(calls) == ["bloch_rows"] + ["record"] * records
 
 
 def _sampled_rows(tmp_path, command, config, shots, seed):
@@ -934,6 +957,70 @@ def test_a_sampled_sweep_fails_at_its_first_saturated_row(tmp_path, capsys, comm
     assert main([command, "--config", cfg, "--out", str(out / "x.csv")]) == 3
     assert capsys.readouterr().err == f"error: {failure.value}\n"
     assert list(out.iterdir()) == []
+
+
+def test_a_sampled_qpt_fails_at_its_first_saturated_row(tmp_path, capsys):
+    # one shot per setting: under seed 0 every probe of row 0 reconstructs and
+    # the |1> probe of row 1 sees a detection before analysis in all three
+    # settings, so its P_B is 1; every row is estimated before any is inverted
+    from uncollapse.cli import assemble
+
+    config = {"p_grid": [0.5, 0.99], "chi_p": [0.47], "mode": "mc", "shots": 1, "seed": 0}
+    cfg = _write_config(tmp_path, **config)
+    _, base = assemble(config, build_parser().parse_args(["qpt", "--out", "x.csv"]))
+    [one, *_] = uncollapse.estimate_probabilities(base.at_strength(0.99), 1, 0, "uncollapse", 12,
+                                                  uncollapse.PROBE_STATES)
+    assert one.p_b == 1.0
+    uncollapse.montecarlo_uncollapse_chi(base.at_strength(0.5), 1, 0, 0)
+    with pytest.raises(SimulationError) as failure:
+        uncollapse.montecarlo_uncollapse_chi(base.at_strength(0.99), 1, 0, 12)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["qpt", "--config", cfg, "--out", str(out / "x.csv")]) == 3
+    assert capsys.readouterr().err == f"error: {failure.value}\n"
+    assert list(out.iterdir()) == []
+
+
+def test_sampled_qpt_rows_equal_the_public_sampled_chi(tmp_path, monkeypatch):
+    # the command inverts one table for all its rows and ends in the exact
+    # engine's chi tail; row r still equals montecarlo_uncollapse_chi at
+    # stream base 12 r, in its chi matrix, its CSV fidelity and its chi file
+    import uncollapse.cli as cli
+
+    chis = []
+    chi = cli.exact_uncollapse_chi
+    monkeypatch.setattr(cli, "exact_uncollapse_chi", lambda *a: chis.append(chi(*a)) or chis[-1])
+    rng = np.random.default_rng(26)
+    for case in range(8):
+        config = {
+            "theta0_rad": float(rng.uniform(0.0, math.pi)),
+            "p_grid": sorted(np.round(rng.uniform(0.0, 0.9, 3), 4).tolist()),
+            "chi_p": [0.47, float(np.round(rng.uniform(0.0, 0.9), 4))],
+            "pi_fraction": float(rng.uniform(0.8, 1.1)),
+            "decoherence": bool(case & 1),
+            "device": {"visibility": (1.0, 0.9)[case >> 1 & 1]},
+            "mode": "mc",
+            "shots": (200, 2049)[case >> 2],
+            "seed": int(rng.integers(2**63)),
+        }
+        cfg = _write_config(tmp_path, f"qpt{case}.json", **config)
+        sweep, base = cli.assemble(config, build_parser().parse_args(["qpt", "--out", "x.csv"]))
+        out = tmp_path / f"qpt{case}.csv"
+        assert main(["qpt", "--config", cfg, "--out", str(out)]) == 0
+        want = [uncollapse.montecarlo_uncollapse_chi(base.at_strength(p), sweep.shots, sweep.seed,
+                                                     12 * r)
+                for r, p in enumerate(sweep.p_grid + sweep.chi_p)]
+        assert len(chis) == len(want)
+        assert all((got.matrix == ref.matrix).all() for got, ref in zip(chis, want))
+        chis.clear()
+        _, rows = _read_csv(out)
+        fidelities = [_fmt(uncollapse.process_fidelity(ref)) for ref in want]
+        assert rows == [[_fmt(p), f] for p, f in zip(sweep.p_grid, fidelities)]
+        for p, ref in zip(sweep.chi_p, want[len(sweep.p_grid):]):
+            payload = json.loads((tmp_path / f"qpt{case}_chi_p{_fmt(p)}.json").read_text())
+            assert payload["chi_real"] == [[float(_fmt(v)) for v in row] for row in ref.matrix.real]
+            assert payload["chi_imag"] == [[float(_fmt(v)) for v in row] for row in ref.matrix.imag]
+            assert payload["fidelity"] == float(_fmt(uncollapse.process_fidelity(ref)))
 
 
 @pytest.mark.parametrize("mode", ["exact", "mc"])

@@ -1,6 +1,7 @@
 """Lint checks that need no linter: unused imports, unread constants, unread
 dataclass fields, unused definitions, stale cross-references, error messages
-raised from more than one place and raised messages that are not written out.
+raised from more than one place, raised messages that are not written out, and
+CLI code that branches on the engine outside its one table source.
 
 They walk the syntax trees with ``ast``.  A name counts as read where it is
 loaded (``name``) or looked up as an attribute (``module.name``); binding it
@@ -31,6 +32,7 @@ TRACER_IMPORTS = {
     ("cli", "exact_tomography_record"),
     ("qpt", "bloch_reconstruct"),
     ("cli", "bloch_reconstruct"),
+    ("cli", "montecarlo_uncollapse_chi"),
 }
 
 # Error messages raised from more than one place, as templates with {} for
@@ -146,6 +148,14 @@ def _message_templates(tree: ast.AST) -> list:
                 parts = ("{}" if isinstance(v, ast.FormattedValue) else v.value for v in message.values)
                 templates.append("".join(parts))
     return templates
+
+
+def _mode_readers(tree: ast.Module) -> set:
+    """The name of each top-level definition of ``tree`` that loads a ``.mode``
+    attribute, ``<module>`` for a top-level statement that does."""
+    return {getattr(node, "name", "<module>") for node in tree.body
+            if any(isinstance(n, ast.Attribute) and n.attr == "mode" and isinstance(n.ctx, ast.Load)
+                   for n in ast.walk(node))}
 
 
 def _literal(message: ast.expr) -> bool:
@@ -275,3 +285,19 @@ def test_the_written_out_check_sees_a_formatted_template():
         "def e():\n    try:\n        pass\n    except OSError:\n        raise\n"
     )
     assert _opaque_raises(ast.parse(code)) == ["raise DomainError(msg.format(x))", "raise DomainError"]
+
+
+def test_the_cli_reads_the_mode_only_in_its_check_and_its_table_source():
+    # either engine's rows reach one row tail: no command branches on the mode
+    assert _mode_readers(_tree(PACKAGE / "cli.py")) == {"SweepSpec", "_table"}
+
+
+def test_the_mode_check_sees_a_planted_branch():
+    code = (
+        "class Spec:\n    def __post_init__(self):\n        assert self.mode\n"
+        "def _table(spec):\n    return spec.mode == 'mc'\n"
+        "def cmd_qpt(spec):\n    spec.mode = 'mc'\n    return 1 if spec.mode == 'exact' else 2\n"
+        "def cmd_sweep(config, args):\n    return config['mode'], getattr(args, 'mode')\n"
+        "SAMPLED = Spec().mode\n"
+    )
+    assert _mode_readers(ast.parse(code)) == {"Spec", "_table", "cmd_qpt", "<module>"}

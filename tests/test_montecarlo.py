@@ -38,7 +38,7 @@ from uncollapse.protocol import (
     build_sequence,
     compile_sequence,
 )
-from uncollapse.tomography import TOMO_SETTINGS, with_tomography
+from uncollapse.tomography import TOMO_SETTINGS, exact_tomography_sweep, with_tomography
 
 
 def _cfg(theta0=np.pi / 2, **kw):
@@ -353,6 +353,32 @@ def test_estimate_reduces_its_counts_as_the_per_initial_reference(initials, n_sh
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert [getattr(g, f.name) for f in fields(g)] == [getattr(w, f.name) for f in fields(w)]
+
+
+@pytest.mark.parametrize("n_shots", [300, 2049])
+@pytest.mark.parametrize("visibility", [1.0, 0.9])
+@pytest.mark.parametrize("decoherence", [False, True])
+@pytest.mark.parametrize("kind", ["collapse", "uncollapse"])
+def test_a_one_initial_stack_equals_the_unstacked_call(kind, decoherence, visibility, n_shots):
+    # a CLI sweep runs its one initial as a stack of one in either engine;
+    # 2,049 shots take two passes
+    rng = np.random.default_rng([n_shots, decoherence, int(10 * visibility), len(kind)])
+    cfg = ExperimentConfig(
+        PureState(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)),
+        p=rng.uniform(0.0, 0.95),
+        decoherence_enabled=decoherence,
+        use_echo_t2=bool(rng.integers(2)),
+        pi_fraction=rng.uniform(0.8, 1.1),
+        device=default_device(visibility),
+        phi_m_rate=rng.uniform(0.0, 20.0),
+    )
+    seed = int(rng.integers(2**63))
+    [stacked] = estimate_probabilities(cfg, n_shots, seed, kind, 3, initials=(cfg.initial,))
+    assert stacked == estimate_probabilities(cfg, n_shots, seed, kind, 3)
+    grid = np.sort(rng.uniform(0.0, 0.95, 6))
+    table, p_success = exact_tomography_sweep(cfg, grid, kind, (cfg.initial,))
+    want_table, want_success = exact_tomography_sweep(cfg, grid, kind, initials=None)
+    assert (table == want_table).all() and (p_success == want_success).all()
 
 
 def test_estimate_compiles_each_setting_once(monkeypatch):
