@@ -150,11 +150,11 @@ class PartialMeasurement:
         null, tunnel = _measurement_kraus(np.array([self.p]), np.array([self.phi_m]))[0]
         return KrausSet((null, tunnel))
 
-    # Serves reuse within one sweep point only: the reversal's two measurements
-    # share (p, phi_m), and the Monte Carlo engine compiles each point once per
-    # setting.  A sweep does not return to a strength, so entries from earlier
-    # points are dead and a small LRU keeps the few live ones.  It keys on the
-    # arguments as passed, so the escape branch is always spelled transfer().
+    # Serves reuse within one compile: the reversal's two measurements share
+    # (p, phi_m).  Either engine compiles a sweep once, at its config, and takes
+    # the other strengths' maps from one measurement_maps call, so a small LRU
+    # keeps the few live entries.  It keys on the arguments as passed, so the
+    # escape branch is always spelled transfer().
     @functools.lru_cache(maxsize=16)
     def transfer(self, effect: str = ESCAPE) -> TransferOp:
         """Null branch as A0 and detection as A1; a detection escapes the well

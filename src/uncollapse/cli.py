@@ -120,6 +120,10 @@ def _typed(default, value, key: str):
         return {name: _typed(item, value.get(name, item), prefix + name)
                 for name, item in default.items()}
     if kind is list and type(value) is list:
+        if type(default[0]) is float:  # one pass; the per-item call below only raises
+            floats = [float(v) for v in value if type(v) in (int, float) and abs(v) <= sys.float_info.max]
+            if len(floats) == len(value):
+                return floats
         return [_typed(default[0], item, key) for item in value]
     # the bound also rejects NaN and integers too large for a float
     if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
@@ -209,12 +213,11 @@ def _table(sweep: SweepSpec, base: ExperimentConfig, kind: str, strengths, initi
     """The (k, 4) table, the success probabilities and the Bloch rows of
     ``strengths`` x ``initials`` from either engine, row r*len(initials) + i from
     strength r and initial i.  Sampled row r draws streams from 3*len(initials)*r;
-    every sampled row is estimated before any is reconstructed, unrepaired."""
+    one estimate samples every row before any is reconstructed, unrepaired."""
     if sweep.mode == "exact":
         table, p_success = exact_tomography_sweep(base, strengths, kind, initials)
     else:
-        records = [t for r, p in enumerate(strengths) for t in estimate_probabilities(
-            base.at_strength(p), sweep.shots, sweep.seed, kind, 3 * len(initials) * r, initials)]
+        records = estimate_probabilities(base, sweep.shots, sweep.seed, kind, 0, initials, strengths)
         table = np.array([[t.p_x, t.p_y, t.p_z, t.p_b] for t in records])
         p_success = 1.0 - table[:, 3]
     return table, p_success, bloch_rows(table, base.device.visibility, sampled=sweep.mode == "mc")

@@ -6,7 +6,7 @@ engines agree in expectation by construction.  A shot's state is the
 normalized Pauli vector r of its branch history, held once per distinct
 history in classes that are only appended; at a stochastic operation the
 shot takes the event when its uniform falls below (A1 r)[0] and goes on
-from the branch it took.  A stack of initials shares one compile per setting.
+from the branch it took.  Initials and strengths share one compile per setting.
 
 Randomness is counter based.  Stream ``j`` is numpy's Philox4x64-10 keyed
 by the master seed with counter (0, 0, j, 0), and shot ``k`` of a stream
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import CLICK, ESCAPE
+from .channels import CLICK, ESCAPE, TransferOp, measurement_maps
 from .errors import DomainError, StructuralError
 from .protocol import (
     _UNIT_TRACE,
@@ -35,8 +35,8 @@ from .protocol import (
 from .tomography import TOMO_SETTINGS, TomographyRecord, with_tomography
 
 _WORD = 1 << 64
-# shots per stream in one pass of estimate_probabilities, which samples all
-# its streams (12 for a qpt row: about 3 MB of uniforms) into one buffer; the
+# shots per stream in one pass of estimate_probabilities, which samples a
+# row's streams (12 for a qpt row: about 3 MB of uniforms) into one buffer; the
 # counter streams make the result independent of it, and it bounds memory
 _SHOT_CHUNK = 1 << 11
 
@@ -122,7 +122,7 @@ def _apply(r, member, ops, pick):
     return out
 
 
-def _run_batch(seq, cfg: ExperimentConfig, uniforms: np.ndarray, initials=None):
+def _run_batch(seq, cfg: ExperimentConfig, uniforms: np.ndarray, initials=None, measurement=None):
     """Vectorized trajectory evolution for a batch of shots.
 
     ``seq`` is a PulseSequence, or a tuple of sequences that share one step
@@ -136,6 +136,7 @@ def _run_batch(seq, cfg: ExperimentConfig, uniforms: np.ndarray, initials=None):
     in place, the shots that escape join class 0, and the shots that take a
     jump or a flip move to one new class per class they left.  Class 0
     never takes the event and holds r = (1, 0, 0, 0), which no map empties.
+    ``measurement`` (a TransferOp) replaces every ESCAPE op of the programs.
 
     Returns (outcomes, detected) where ``outcomes`` has shape
     (n_shots, n_partial_measurements), rows in the order of ``uniforms``.
@@ -149,6 +150,8 @@ def _run_batch(seq, cfg: ExperimentConfig, uniforms: np.ndarray, initials=None):
         if not initials:
             raise StructuralError("need at least one initial state")
         programs = [(_prepare_op(s),) + ops[1:] for s in initials for ops in programs]
+    if measurement is not None:  # every partial measurement at one other strength
+        programs = [tuple(measurement if op.effect == ESCAPE else op for op in ops) for ops in programs]
     # compiled maps are cached, so a shared op is one object (ops compare by identity)
     steps = [ops[:1] if ops.count(ops[0]) == len(ops) else ops for ops in zip(*programs)]
     if uniforms.shape[1] != sum(ops[0].event is not None for ops in steps):
@@ -221,42 +224,50 @@ def estimate_probabilities(
     kind: str = "uncollapse",
     stream_base: int = 0,
     initials=None,
+    p_grid=None,
 ):
     """The TomographyRecord estimated from ``n_shots`` per setting.
 
     A detection at any point of a shot counts toward that setting's
     probability, matching what a threshold detector reports; the background
     is estimated from pre-analysis detections pooled over the three
-    settings.  One array pass turns the counts into every initial's row
+    settings.  One array pass turns the counts into every record's
     (P_X, P_Y, P_Z, P_B) and standard errors sqrt(P(1-P)/n), n being
-    ``3 * n_shots`` for P_B.  Setting j draws stream ``stream_base + j``.
-    With ``initials`` (PureStates), member ``3*i + j`` is initial i under
-    setting j, drawn from stream ``stream_base + 3*i + j``, and the result
-    is a tuple of one record per initial.  The three settings compile once
-    for any initials.  Each pass of at most ``_SHOT_CHUNK`` shots per stream
-    samples every member as one stack, one ``_shot_uniforms`` buffer (a
-    column slice of it) and one ``_run_batch`` call, with the same result
-    for any chunk size.
+    ``3 * n_shots`` for P_B.  With ``initials`` (k PureStates; ``cfg.initial``
+    alone without them) and ``p_grid`` (strengths; ``cfg.p`` alone without),
+    record ``r*k + i`` is initial i at ``cfg.at_strength(p_grid[r])``, whose
+    setting j draws stream ``stream_base + 3*k*r + 3*i + j``.  The result is
+    the tuple of records, or its one record when both are None.  The three
+    settings are built and compiled once, at ``cfg``, and one
+    :func:`measurement_maps` call gives every strength's measurement.  Each
+    pass of at most ``_SHOT_CHUNK`` shots per stream samples one row's 3k
+    members as one stack, one ``_shot_uniforms`` buffer (a column slice of
+    it) and one ``_run_batch`` call, with the same result for any chunk size.
     """
     if n_shots < 1:
         raise DomainError("need at least one shot per setting")
     base = build_sequence(kind, cfg)
     seqs = tuple(with_tomography(base, s, cfg.timing) for s in TOMO_SETTINGS)
     members = len(seqs) * (1 if initials is None else len(initials))
-    streams = tuple(range(stream_base, stream_base + members))
     n_draws = _draw_count(seqs[0], cfg)
-    clicks, escapes = np.zeros((2, members), dtype=np.intp)
-    for start in range(0, n_shots, _SHOT_CHUNK):
-        count = min(_SHOT_CHUNK, n_shots - start)
-        uniforms = _shot_uniforms(seed, streams, start, count, n_draws)
-        outcomes, detected = _run_batch(seqs, cfg, uniforms, initials)
-        escaped = outcomes.any(axis=1)
-        clicks += np.count_nonzero((escaped | detected).reshape(members, count), axis=1)
-        escapes += np.count_nonzero(escaped.reshape(members, count), axis=1)
+    rows = [None] if p_grid is None else [TransferOp(*maps, ESCAPE) for maps in
+                                          zip(*measurement_maps(*cfg.grid_measurements(p_grid)))]
+    clicks, escapes = np.zeros((2, len(rows), members), dtype=np.intp)
+    for r, measurement in enumerate(rows):
+        streams = tuple(range(stream_base + members * r, stream_base + members * (r + 1)))
+        for start in range(0, n_shots, _SHOT_CHUNK):
+            count = min(_SHOT_CHUNK, n_shots - start)
+            uniforms = _shot_uniforms(seed, streams, start, count, n_draws)
+            outcomes, detected = _run_batch(seqs, cfg, uniforms, initials, measurement)
+            escaped = outcomes.any(axis=1)
+            clicks[r] += np.count_nonzero((escaped | detected).reshape(members, count), axis=1)
+            escapes[r] += np.count_nonzero(escaped.reshape(members, count), axis=1)
+            # freed before the next pass draws: a fill beside a live buffer is slower
+            del uniforms, outcomes, detected, escaped
     # counts and shots stay below 2**53, so each quotient is the Python ints' quotient
     n = np.array([1.0, 1.0, 1.0, 3.0]) * float(n_shots)
     rates = np.column_stack((clicks.reshape(-1, 3), escapes.reshape(-1, 3).sum(axis=1))) / n
     errors = np.sqrt(rates * (1.0 - rates) / n)
     records = tuple(TomographyRecord(*rate, shots=n_shots, stderr=tuple(err[:3]), stderr_b=err[3])
                     for rate, err in zip(rates.tolist(), errors.tolist()))
-    return records[0] if initials is None else records
+    return records[0] if initials is None and p_grid is None else records

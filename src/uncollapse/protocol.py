@@ -180,8 +180,9 @@ class ExperimentConfig:
             if not 0.0 <= p <= 1.0:
                 raise DomainError(f"measurement strength must lie in [0, 1], got {p}")
         p_real = np.minimum(np.array(p_grid, dtype=float) * (1.0 + self.p_error_fraction), 1.0)
-        if self.phi_m_model is not None:
-            return p_real, np.array([float(self.phi_m_model(x)) for x in p_real.tolist()])
+        if self.phi_m_model is not None:  # a model's phase is checked as its measurement's
+            phases = [PartialMeasurement(x, self.phi_m_model(x)).phi_m for x in p_real.tolist()]
+            return p_real, np.array(phases)
         return p_real, self.phi_m_rate * p_real
 
     def decoherence_for(self, duration_ns: float) -> DecoherenceStep | None:
@@ -244,9 +245,9 @@ def build_sequence(kind: str, cfg: ExperimentConfig) -> PulseSequence:
     return builders[kind](cfg)
 
 
-# An estimate compiles its three tomography settings on every pass; sequences
-# and configs hash, so the passes after the first reuse the programs.  A sweep
-# does not return to a point, so a small LRU suffices.
+# A sampled command compiles its three tomography settings once, at its config,
+# and looks them up again on every pass; sequences and configs hash, so each
+# pass reuses the programs.  A command needs a few keys, so a small LRU suffices.
 @functools.lru_cache(maxsize=16)
 def compile_sequence(seq: PulseSequence, cfg: ExperimentConfig) -> tuple:
     """The sequence as TransferOps in order, run from r = (1, 0, 0, 0).

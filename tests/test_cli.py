@@ -559,6 +559,47 @@ def test_exact_sweep_compiles_once_and_checks_positivity_once(tmp_path, monkeypa
     assert len(eigvalsh_calls) == 1 and len(compile_calls) == 1
 
 
+@pytest.mark.parametrize("rows", [1, 5])
+@pytest.mark.parametrize("command", ["collapse", "uncollapse", "qpt"])
+def test_a_sampled_command_compiles_three_programs_whatever_its_rows(tmp_path, monkeypatch,
+                                                                     command, rows):
+    import uncollapse.montecarlo as montecarlo
+
+    keys, compile_sequence = set(), montecarlo.compile_sequence
+    monkeypatch.setattr(montecarlo, "compile_sequence",
+                        lambda *a: keys.add(a) or compile_sequence(*a))
+    cfg = _write_config(tmp_path, p_grid=[0.15 * i for i in range(rows)], chi_p=[0.47],
+                        decoherence=True, mode="mc", shots=4)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 0
+    assert len(keys) == 3
+
+
+@pytest.mark.parametrize("shots, passes", [(2048, 1), (2049, 2)])
+@pytest.mark.parametrize("command", ["collapse", "uncollapse", "qpt"])
+def test_every_sampled_pass_draws_and_runs_through_the_traced_names(tmp_path, monkeypatch,
+                                                                    command, shots, passes):
+    # a tracer that wraps these module attributes sees one estimate per
+    # command and one uniform fill and one kernel call per pass: one row at
+    # up to 2,048 shots per stream
+    import uncollapse.cli as cli
+    import uncollapse.montecarlo as montecarlo
+
+    calls = {"estimate": 0, "uniforms": 0, "kernel": 0}
+
+    def counted(name, fn):
+        return lambda *a: calls.__setitem__(name, calls[name] + 1) or fn(*a)
+
+    monkeypatch.setattr(cli, "estimate_probabilities",
+                        counted("estimate", cli.estimate_probabilities))
+    monkeypatch.setattr(montecarlo, "_shot_uniforms", counted("uniforms", montecarlo._shot_uniforms))
+    monkeypatch.setattr(montecarlo, "_run_batch", counted("kernel", montecarlo._run_batch))
+    p_grid, chi_p = [0.1, 0.5], [0.47]
+    cfg = _write_config(tmp_path, p_grid=p_grid, chi_p=chi_p, mode="mc", shots=shots)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 0
+    rows = len(p_grid) + (len(chi_p) if command == "qpt" else 0)
+    assert calls == {"estimate": 1, "uniforms": rows * passes, "kernel": rows * passes}
+
+
 _SMALL_RUN = {"p_grid": [0.2], "chi_p": [0.4], "shots": 8}
 _JSON_SCALARS = st.one_of(
     st.none(),

@@ -391,6 +391,60 @@ def test_estimate_compiles_each_setting_once(monkeypatch):
     assert compile_sequence.cache_info().misses == 3
 
 
+def _one_estimate_per_strength(cfg, shots, seed, kind, base, initials, grid):
+    # the reference: row r as its own estimate at stream base base + 3 k r
+    k = 1 if initials is None else len(initials)
+    rows = [estimate_probabilities(cfg.at_strength(p), shots, seed, kind, base + 3 * k * r, initials)
+            for r, p in enumerate(grid)]
+    return tuple(t for row in rows for t in ((row,) if initials is None else row))
+
+
+# (decoherence, kind, initials, shots, p_error_fraction, visibility); at a
+# bias of 0.05 the grid's 0.96 realizes strength 1, a certain escape
+_GRID_CASES = [
+    (False, "collapse", None, 1, 0.0, 1.0),
+    (False, "uncollapse", None, 2047, 0.05, 0.9),
+    (True, "collapse", None, 4500, 0.0, 1.0),
+    (True, "uncollapse", None, 1, 0.05, 1.0),
+    (False, "collapse", "own", 2049, 0.05, 1.0),
+    (False, "uncollapse", "own", 4500, 0.0, 0.9),
+    (True, "collapse", "own", 1, 0.05, 0.9),
+    (True, "uncollapse", "own", 2047, 0.0, 1.0),
+    (False, "collapse", PROBE_STATES, 2047, 0.0, 1.0),
+    (False, "uncollapse", PROBE_STATES, 1, 0.05, 1.0),
+    (True, "collapse", PROBE_STATES, 2049, 0.05, 1.0),
+    (True, "uncollapse", PROBE_STATES, 4500, 0.05, 0.9),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_GRID_CASES)))
+def test_one_estimate_over_a_grid_equals_one_estimate_per_strength(case):
+    decoherence, kind, initials, shots, bias, visibility = _GRID_CASES[case]
+    rng = np.random.default_rng(case)
+    cfg = ExperimentConfig(PureState(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi)),
+                           p=0.0, decoherence_enabled=decoherence, p_error_fraction=bias,
+                           device=replace(default_device(), visibility=visibility))
+    initials = (cfg.initial,) if initials == "own" else initials
+    grid = [0.0, round(rng.uniform(0.05, 0.9), 4), 0.96]
+    seed, base = int(rng.integers(2**63)), int(rng.integers(100))
+    got = estimate_probabilities(cfg, shots, seed, kind, base, initials, grid)
+    assert got == _one_estimate_per_strength(cfg, shots, seed, kind, base, initials, grid)
+    assert (cfg.grid_measurements(grid)[0][-1] == 1.0) == (bias > 0.0)
+
+
+def test_a_grid_strength_whose_model_phase_is_not_finite_fails_as_it_fails_alone():
+    from uncollapse.protocol import fold
+
+    cfg = _cfg(p=0.0, phi_m_model=lambda p: np.inf if p > 0.5 else 0.0)
+    with pytest.raises(DomainError) as alone:
+        estimate_probabilities(cfg.at_strength(0.7), 5, seed=1, kind="collapse")
+    for run in (lambda: estimate_probabilities(cfg, 5, 1, "collapse", 0, None, [0.2, 0.7]),
+                lambda: fold(build_sequence("collapse", cfg), cfg, None, [0.2, 0.7])):
+        with pytest.raises(DomainError) as grid:
+            run()
+        assert str(grid.value) == str(alone.value) == "measurement phase must be finite, got inf"
+
+
 @pytest.mark.parametrize("decoherence", [False, True])
 def test_the_settings_of_an_estimate_share_every_op_but_the_analysis_pulse(monkeypatch,
                                                                            decoherence):
@@ -462,6 +516,73 @@ def test_shot_uniforms_just_inside_every_limit():
         got = _shot_uniforms(seed, stream, first, 2, 5)
         for i in range(2):
             assert np.array_equal(got[i], _numpy_shot(seed, stream, first + i, 5))
+
+
+# Independence of streams, checked from outside the layout: the checks read
+# only the rows _shot_uniforms returns, so they hold for any counter scheme.
+_N_INDEPENDENT = 100_000
+
+
+def _shared_rows(*blocks):
+    """The rows, compared as bytes, that occur in more than one block."""
+    owners = {}
+    for index, block in enumerate(blocks):
+        for row in block:
+            owners.setdefault(row.tobytes(), set()).add(index)
+    return [row for row, found in owners.items() if len(found) > 1]
+
+
+def _correlation_sigmas(a, b):
+    """|Pearson correlation| of paired values, in units of sigma = 1/sqrt(N)."""
+    a, b = np.ravel(a).astype(float), np.ravel(b).astype(float)
+    return abs(np.corrcoef(a, b)[0, 1]) * np.sqrt(a.size)
+
+
+def _clicks(uniforms):
+    """Each shot's click indicator in one setting of a sampled estimate,
+    about half of them set."""
+    cfg = _cfg(theta0=1.2, p=0.1)
+    outcomes, detected = _run_batch(with_tomography(build_uncollapse(cfg), "y", cfg.timing), cfg,
+                                    uniforms)
+    return outcomes.any(axis=1) | detected
+
+
+def test_no_two_seed_and_stream_pairs_share_a_row():
+    seeds = [0, 1, 2**64 - 1, 2**64, 2**64 + 1, 2**128 - 1]
+    streams = [0, 1, 2**64 - 1]
+    # a window at the first shot and one that ends at the last; five draws
+    # take two blocks a shot, so the last window carries into counter word 1
+    blocks = [np.vstack([_shot_uniforms(seed, stream, start, 32, 5) for start in (0, 2**64 - 32)])
+              for seed in seeds for stream in streams]
+    assert _shared_rows(*blocks) == []
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ((12345, 0), (12346, 0)),
+        ((12345, 0), (12345 + 2**64, 0)),
+        ((12345, 0), (12345, 1)),
+        ((2**64 - 1, 2**64 - 2), (2**64, 2**64 - 2)),
+        ((2**64 - 1, 2**64 - 2), (2**65 - 1, 2**64 - 2)),
+        ((2**64 - 1, 2**64 - 2), (2**64 - 1, 2**64 - 1)),
+    ],
+)
+def test_neighbouring_seeds_and_streams_are_uncorrelated(first, second):
+    # seeds s and s + 1, s and s + 2**64, streams j and j + 1
+    a, b = (_shot_uniforms(seed, stream, 0, _N_INDEPENDENT, 3) for seed, stream in (first, second))
+    assert _correlation_sigmas(a, b) < 5.0
+    assert _correlation_sigmas(_clicks(a), _clicks(b)) < 5.0
+
+
+def test_the_stream_checks_see_a_stream_paired_with_itself_or_shifted_by_one_shot():
+    rows = _shot_uniforms(12345, 0, 0, _N_INDEPENDENT + 1, 3)
+    same, shifted = rows[:-1], rows[1:]
+    assert _correlation_sigmas(same, same) > 5.0
+    assert _correlation_sigmas(_clicks(same), _clicks(same)) > 5.0
+    assert len(_shared_rows(same[:64], same[:64])) == 64
+    # shots are independent of one another, so only the shared rows show the shift
+    assert len(_shared_rows(same[:64], shifted[:64])) == 63
 
 
 @pytest.mark.parametrize(
