@@ -136,7 +136,8 @@ def _run_batch(seq, cfg: ExperimentConfig, uniforms: np.ndarray, initials=None, 
     in place, the shots that escape join class 0, and the shots that take a
     jump or a flip move to one new class per class they left.  Class 0
     never takes the event and holds r = (1, 0, 0, 0), which no map empties.
-    ``measurement`` (a TransferOp) replaces every ESCAPE op of the programs.
+    ``measurement`` (a TransferOp; every estimate passes its row's) replaces
+    every ESCAPE op; None keeps them, for :func:`sample_sequence` and tests.
 
     Returns (outcomes, detected) where ``outcomes`` has shape
     (n_shots, n_partial_measurements), rows in the order of ``uniforms``.
@@ -239,10 +240,11 @@ def estimate_probabilities(
     setting j draws stream ``stream_base + 3*k*r + 3*i + j``.  The result is
     the tuple of records, or its one record when both are None.  The three
     settings are built and compiled once, at ``cfg``, and one
-    :func:`measurement_maps` call gives every strength's measurement.  Each
-    pass of at most ``_SHOT_CHUNK`` shots per stream samples one row's 3k
-    members as one stack, one ``_shot_uniforms`` buffer (a column slice of
-    it) and one ``_run_batch`` call, with the same result for any chunk size.
+    :func:`measurement_maps` call gives every strength's measurement op,
+    ``cfg.p``'s alone included.  Each pass of at most ``_SHOT_CHUNK`` shots
+    per stream samples one row's 3k members as one stack, one
+    ``_shot_uniforms`` buffer (a column slice of it) and one ``_run_batch``
+    call, with the same result for any chunk size.
     """
     if n_shots < 1:
         raise DomainError("need at least one shot per setting")
@@ -250,8 +252,8 @@ def estimate_probabilities(
     seqs = tuple(with_tomography(base, s, cfg.timing) for s in TOMO_SETTINGS)
     members = len(seqs) * (1 if initials is None else len(initials))
     n_draws = _draw_count(seqs[0], cfg)
-    rows = [None] if p_grid is None else [TransferOp(*maps, ESCAPE) for maps in
-                                          zip(*measurement_maps(*cfg.grid_measurements(p_grid)))]
+    grid = [cfg.p] if p_grid is None else p_grid
+    rows = [TransferOp(*maps, ESCAPE) for maps in zip(*measurement_maps(*cfg.grid_measurements(grid)))]
     clicks, escapes = np.zeros((2, len(rows), members), dtype=np.intp)
     for r, measurement in enumerate(rows):
         streams = tuple(range(stream_base + members * r, stream_base + members * (r + 1)))

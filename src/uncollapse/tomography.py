@@ -20,7 +20,6 @@ checks and this inversion are written once, for a (k, 4) table of rows
 :class:`TomographyRecord` and :func:`bloch_reconstruct` are their one-row cases.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,23 +111,16 @@ class TomographyRecord:
         _check_table(np.array([[self.p_x, self.p_y, self.p_z, self.p_b]]), slack)
 
     def probability(self, setting: str) -> float:
-        try:
-            return {"x": self.p_x, "y": self.p_y, "z": self.p_z}[setting]
-        except KeyError:
-            raise DomainError(f"unknown tomography setting {setting!r}") from None
+        tomography_rotation(setting)  # the one check of the setting's name
+        return getattr(self, "p_" + setting)
 
 
-@functools.lru_cache(maxsize=64)
 def _readout_rows(visibility: float, tomo_decoherence: DecoherenceStep | None) -> np.ndarray:
     """Row s gives v * <1| rho_s |1> from r of the normalized state: the
     readout's event row through the compiled tomography operations."""
     readout = PartialMeasurement(visibility).transfer(CLICK).event[0]
     decay = decoherence_ops(tomo_decoherence)
-    rows = np.array(
-        [readout @ chain((tomography_rotation(s).transfer(), *decay)) for s in TOMO_SETTINGS]
-    )
-    rows.setflags(write=False)
-    return rows
+    return np.array([readout @ chain((tomography_rotation(s).transfer(), *decay)) for s in TOMO_SETTINGS])
 
 
 def _forward(paulis: np.ndarray, p_b: np.ndarray, d: DeviceParams, tomo_decoherence) -> np.ndarray:

@@ -357,7 +357,6 @@ def test_ground_state_is_a_decoherence_fixed_point():
 def test_memoized_maps_are_shared_and_read_only():
     from uncollapse.protocol import _prepare_op
     from uncollapse.qpt import PROBE_STATES, _design_matrix
-    from uncollapse.tomography import _readout_rows
 
     measure = PartialMeasurement(0.3, 0.7)
     assert measure.transfer() is PartialMeasurement(0.3, 0.7).transfer()
@@ -367,7 +366,7 @@ def test_memoized_maps_are_shared_and_read_only():
     ops = [measure.transfer(), measure.transfer(CLICK), pulse.transfer(),
            tomography_rotation("x").transfer(), *decoherence_ops(step), _prepare_op(PureState(1.0))]
     arrays = [m for op in ops for m in (op.no_event, op.event, op.in_well) if m is not None]
-    arrays += [_design_matrix(PROBE_STATES), _readout_rows(0.9, step)]
+    arrays += [_design_matrix(PROBE_STATES)]
     for array in arrays:
         with pytest.raises(ValueError):
             array[0, 0] = 0.5

@@ -1,7 +1,8 @@
 """Lint checks that need no linter: unused imports, unread constants, unread
 dataclass fields, unused definitions, stale cross-references, error messages
-raised from more than one place, raised messages that are not written out, and
-CLI code that branches on the engine outside its one table source.
+raised from more than one place, raised messages that are not written out,
+CLI code that branches on the engine outside its one table source, and
+memoized functions without a listed reason.
 
 They walk the syntax trees with ``ast``.  A name counts as read where it is
 loaded (``name``) or looked up as an attribute (``module.name``); binding it
@@ -14,6 +15,7 @@ import ast
 import re
 from collections import Counter
 from pathlib import Path
+from types import MappingProxyType
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "uncollapse"
@@ -43,9 +45,23 @@ DUPLICATE_MESSAGES = {
     "unknown sequence kind {}",
     "measurement strength must lie in [0, 1], got {}",
     "need at least one initial state",
-    "unknown tomography setting {}",
     "decay times must be positive",
 }
+
+# Every memoized function in the package, (module, qualified name), and why
+# it pays.  "identity": its shared objects let _run_batch run a step once for
+# a whole stack, since ops compare by identity.  A repeat: the same arguments
+# come back within one pass, one row or one process.  A cache that no command
+# hits goes, and leaves this map.
+CACHES = MappingProxyType({
+    ("channels", "PartialMeasurement.transfer"): "identity: the readout every setting shares",
+    ("channels", "RotationPulse.transfer"): "identity: the pulses every setting shares",
+    ("channels", "decoherence_ops"): "identity: the jump and flip ops every setting shares",
+    ("protocol", "_prepare_op"): "identity: the prepare op every setting of an initial shares",
+    ("protocol", "compile_sequence"): "per-pass repeat: every pass looks its three programs up again",
+    ("qpt", "_design_matrix"): "per-row repeat: every chi inverts the same probe design",
+    ("cli", "build_parser"): "per-process repeat: one parser for every main() call",
+})
 
 # Raises whose message is not a literal or an f-string: each passes on the
 # text of the error it replaces, which the message checks cannot see.
@@ -175,6 +191,22 @@ def _opaque_raises(tree: ast.AST) -> list:
     ]
 
 
+def _cached(tree: ast.AST, prefix: str = "") -> set:
+    """The qualified name of each function of ``tree`` decorated with
+    ``functools.cache`` or ``functools.lru_cache``, called or not, under any
+    spelling of the import."""
+    names = set()
+    for node in ast.iter_child_nodes(tree):
+        name = prefix
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = prefix + node.name + "."
+            decorators = (ast.unparse(getattr(d, "func", d)).split(".")[-1] for d in node.decorator_list)
+            if not isinstance(node, ast.ClassDef) and {"cache", "lru_cache"} & set(decorators):
+                names.add(prefix + node.name)
+        names |= _cached(node, name)
+    return names
+
+
 def _repeated(templates: list) -> set:
     return {template for template in templates if templates.count(template) > 1}
 
@@ -268,6 +300,25 @@ def test_the_message_check_sees_a_planted_duplicate():
     templates = _message_templates(ast.parse(code))
     assert sorted(templates) == ["no shots", "p={} outside [0, 1]", "p={} outside [0, 1]"]
     assert _repeated(templates) == {"p={} outside [0, 1]"}
+
+
+def test_every_cache_in_the_package_is_listed_with_its_reason():
+    found = {(path.stem, name) for path in PACKAGE.glob("*.py") for name in _cached(_tree(path))}
+    assert found == set(CACHES)
+
+
+def test_the_cache_check_sees_every_spelling_of_a_memoized_function():
+    code = (
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@functools.lru_cache(maxsize=8)\ndef a(x): pass\n"
+        "@functools.cache\ndef b(): pass\n"
+        "@lru_cache\ndef c(x): pass\n"
+        "class Op:\n    @cache\n    def transfer(self): pass\n"
+        "    @property\n    def size(self): pass\n"
+        "def d():\n    @functools.lru_cache(None)\n    def inner(): pass\n"
+        "@functools.wraps(a)\ndef e(): pass\n"
+    )
+    assert _cached(ast.parse(code)) == {"a", "b", "c", "Op.transfer", "d.inner"}
 
 
 def test_every_raised_message_is_written_out():

@@ -1,5 +1,6 @@
 """Shot sampling: convergence to the exact engine and seeding contract."""
 
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -90,19 +91,26 @@ def test_partitioning_shots_does_not_change_outcomes(seed):
 def _dense_run_batch(seq, cfg, uniforms):
     """The per-shot kernel the branch-class kernel replaced, kept as the
     reference: every shot carries its own Pauli vector."""
-    ops = compile_sequence(seq, cfg)
+    outcome_matrix, detected, _ = _dense_run(compile_sequence(seq, cfg), uniforms)
+    return outcome_matrix, detected
+
+
+def _dense_run(ops, uniforms):
+    """:func:`_dense_run_batch` on compiled ``ops``, plus one flag array per
+    stochastic operation: the shots still in the well that take its event."""
     n = uniforms.shape[0]
     r = np.zeros((n, 4))
     r[:, 0] = 1.0
     alive = np.ones(n, dtype=bool)
     detected = np.zeros(n, dtype=bool)
-    outcomes = []
+    outcomes, taken = [], []
     draws = iter(uniforms.T)
     for op in ops:
         if op.event is None:
             r = r @ op.no_event.T
             continue
         event = next(draws) < r @ op.event[0]
+        taken.append(alive & event)
         r = np.where(event[:, None], r @ op.event.T, r @ op.no_event.T)
         r = r / r[:, :1]
         if op.effect == ESCAPE:
@@ -113,7 +121,7 @@ def _dense_run_batch(seq, cfg, uniforms):
     outcome_matrix = (
         np.stack(outcomes, axis=1) if outcomes else np.zeros((n, 0), dtype=bool)
     )
-    return outcome_matrix, detected
+    return outcome_matrix, detected, taken
 
 
 def _assert_same_decisions(seqs, cfg, uniforms):
@@ -170,16 +178,22 @@ def _settings(cfg, kind="uncollapse"):
     return tuple(with_tomography(base, s, cfg.timing) for s in TOMO_SETTINGS)
 
 
-def _exact_escapes(seq, cfg):
-    # a shot escapes at a partial measurement with probability (A1 r)[0] of
-    # the unnormalized in-well r that the operations before it leave
+def _exact_events(ops):
+    # a shot in the well takes the event of a stochastic operation with
+    # probability (A1 r)[0] of the unnormalized in-well r the operations
+    # before it leave
     r = np.array([1.0, 0.0, 0.0, 0.0])
-    escapes = []
-    for op in compile_sequence(seq, cfg):
-        if op.effect == ESCAPE:
-            escapes.append((op.event @ r)[0])
+    events = []
+    for op in ops:
+        if op.event is not None:
+            events.append((op.event @ r)[0])
         r = op.in_well @ r
-    return np.array(escapes)
+    return np.array(events)
+
+
+def _exact_escapes(seq, cfg):
+    ops = compile_sequence(seq, cfg)
+    return _exact_events(ops)[[op.effect == ESCAPE for op in ops if op.event is not None]]
 
 
 @pytest.mark.parametrize("probes", [False, True])
@@ -208,6 +222,72 @@ def test_escapes_at_each_measurement_match_the_exact_engine(probes):
                 assert rows.shape[1] == len(exact) == (2 if kind == "uncollapse" else 1)
                 sigma = np.sqrt(np.clip(exact * (1.0 - exact), 0.0, None) / n)
                 assert np.all(np.abs(rows.mean(axis=0) - exact) <= 5.0 * sigma + 1e-12), (i, kind)
+
+
+# the one-sided tail of a normal deviation beyond 5 sigma
+_FIVE_SIGMA_TAIL = 0.5 * math.erfc(5.0 / math.sqrt(2.0))
+
+
+def _binomial_tail(count, n, p):
+    # P(X >= count) for a count above n p, else P(X <= count), with X ~
+    # binomial(n, p): the exact law of an event count over n independent
+    # shots, which the normal approximation misses at a few expected events
+    if not 0.0 < p < 1.0:
+        return float(count == (0 if p <= 0.0 else n))
+    k = np.arange(n + 1)
+    log_factorial = np.concatenate(([0.0], np.cumsum(np.log(k[1:]))))
+    log_choose = log_factorial[n] - log_factorial - log_factorial[::-1]
+    log_pmf = log_choose + k * np.log(p) + (n - k) * np.log1p(-p)
+    return float(np.exp(log_pmf[k >= count if count > n * p else k <= count]).sum())
+
+
+def _event_tails(ops, run_ops, uniforms):
+    # each stochastic op's count of in-well shots that take its event, run
+    # through ``run_ops`` by the per-shot reference, as the binomial tail of
+    # that count at the op's exact fraction
+    counts = [int(flags.sum()) for flags in _dense_run(run_ops, uniforms)[2]]
+    return np.array([_binomial_tail(c, len(uniforms), p) for c, p in zip(counts, _exact_events(ops))])
+
+
+def _decohered_settings(rng, i, kind):
+    cfg = replace(_random_config(rng, i), decoherence_enabled=True)
+    return cfg, [compile_sequence(seq, cfg) for seq in _settings(cfg, kind)]
+
+
+def test_every_event_of_the_per_shot_kernel_matches_the_exact_engine():
+    # every stochastic op (measurement, relaxation jump, dephasing flip,
+    # readout) of 12 random decohered configs x collapse/uncollapse x x/y/z,
+    # 4,000 shots each: its event count no further out than a 5 sigma normal
+    # deviation is likely to be.  The decision tests tie _run_batch to this
+    # reference shot by shot.
+    rng = np.random.default_rng(2030)
+    effects = set()
+    for i in range(12):
+        for kind in ("collapse", "uncollapse"):
+            cfg, programs = _decohered_settings(rng, i, kind)
+            for stream, ops in enumerate(programs):
+                uniforms = _shot_uniforms(i, stream, 0, 4000, sum(op.event is not None for op in ops))
+                assert _event_tails(ops, ops, uniforms).min() >= _FIVE_SIGMA_TAIL, (i, kind)
+                effects.update(op.effect for op in ops if op.event is not None)
+    assert effects == {ESCAPE, STAY, CLICK}
+
+
+def _swap_jump_and_flip_events(ops):
+    # decoherence_ops puts each step's jump right before its flip
+    swapped = list(ops)
+    decohered = [k for k, op in enumerate(ops) if op.event is not None and op.effect == STAY]
+    for jump, flip in zip(decohered[::2], decohered[1::2]):
+        swapped[jump] = replace(ops[jump], event=ops[flip].event)
+        swapped[flip] = replace(ops[flip], event=ops[jump].event)
+    return swapped
+
+
+def test_the_event_check_sees_jump_and_flip_events_swapped():
+    cfg = _cfg(p=0.4, decoherence_enabled=True)
+    ops = compile_sequence(_settings(cfg)[0], cfg)
+    uniforms = _shot_uniforms(4, 0, 0, 20_000, sum(op.event is not None for op in ops))
+    assert _event_tails(ops, ops, uniforms).min() >= _FIVE_SIGMA_TAIL
+    assert _event_tails(ops, _swap_jump_and_flip_events(ops), uniforms).min() < _FIVE_SIGMA_TAIL
 
 
 def test_class_kernel_keeps_escape_flags_past_64_measurements():
@@ -430,6 +510,50 @@ def test_one_estimate_over_a_grid_equals_one_estimate_per_strength(case):
     got = estimate_probabilities(cfg, shots, seed, kind, base, initials, grid)
     assert got == _one_estimate_per_strength(cfg, shots, seed, kind, base, initials, grid)
     assert (cfg.grid_measurements(grid)[0][-1] == 1.0) == (bias > 0.0)
+
+
+def _own_measurement_estimate(cfg, shots, seed, kind, base, initials):
+    # the reference: one unchunked pass in which every program keeps its own
+    # compiled measurement (no measurement op handed to _run_batch), reduced
+    # as the per-initial reference reduces
+    seqs = _settings(cfg, kind)
+    streams = tuple(range(base, base + 3 * (1 if initials is None else len(initials))))
+    uniforms = _shot_uniforms(seed, streams, 0, shots, _draw_count(seqs[0], cfg))
+    outcomes, detected = _run_batch(seqs, cfg, uniforms, initials, None)
+    escaped = outcomes.any(axis=1).reshape(-1, 3, shots)
+    clicked = (escaped | detected.reshape(-1, 3, shots)).sum(axis=2)
+    records = tuple(_reference_estimate(hits, pooled, shots)
+                    for hits, pooled in zip(clicked.tolist(), escaped.sum(axis=(1, 2)).tolist()))
+    return records[0] if initials is None else records
+
+
+# (decoherence, kind, initials, shots, p, p_error_fraction, phase model); at
+# a bias of 0.05 the strength 0.96 realizes 1, a certain escape
+_ONE_STRENGTH_CASES = [
+    (False, "collapse", None, 1, 0.3, 0.0, None),
+    (True, "uncollapse", None, 2047, 0.96, 0.05, None),
+    (False, "collapse", None, 2049, 0.55, 0.0, np.sin),
+    (True, "uncollapse", None, 4500, 0.7, -0.05, None),
+    (True, "uncollapse", PROBE_STATES, 1, 0.47, 0.0, np.cos),
+    (False, "collapse", PROBE_STATES, 2047, 0.96, 0.05, None),
+    (True, "uncollapse", PROBE_STATES, 2049, 0.2, 0.05, None),
+    (False, "collapse", PROBE_STATES, 4500, 0.8, 0.05, np.sin),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_ONE_STRENGTH_CASES)))
+def test_a_one_strength_estimate_is_its_grid_of_one_and_the_own_measurement_run(case):
+    decoherence, kind, initials, shots, p, bias, model = _ONE_STRENGTH_CASES[case]
+    rng = np.random.default_rng([30, case])
+    cfg = ExperimentConfig(PureState(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi)), p=p,
+                           decoherence_enabled=decoherence, p_error_fraction=bias, phi_m_model=model,
+                           device=replace(default_device(), visibility=rng.uniform(0.6, 1.0)))
+    seed, base = int(rng.integers(2**63)), int(rng.integers(100))
+    got = estimate_probabilities(cfg, shots, seed, kind, base, initials)
+    grid = estimate_probabilities(cfg, shots, seed, kind, base, initials, [p])
+    assert (got if initials else (got,)) == grid
+    assert got == _own_measurement_estimate(cfg, shots, seed, kind, base, initials)
+    assert (cfg.measurement().p == 1.0) == (p == 0.96)
 
 
 def test_a_grid_strength_whose_model_phase_is_not_finite_fails_as_it_fails_alone():

@@ -7,6 +7,7 @@ import pytest
 
 from uncollapse import (
     BlochVector,
+    DecoherenceStep,
     DegenerateBackgroundError,
     DomainError,
     ExperimentConfig,
@@ -111,6 +112,17 @@ def test_record_validation_and_statistical_slack():
         TomographyRecord(0.1, 0.1, 0.1, 0.5, stderr=(0.01, 0.01, 0.01), stderr_b=0.01)
     with pytest.raises(DomainError):
         TomographyRecord(p_x=0.5, p_y=0.5, p_z=0.5, p_b=0.5).probability("q")
+
+
+def test_probability_reads_each_setting_and_rejects_other_names_as_before():
+    record = TomographyRecord(p_x=0.2, p_y=0.4, p_z=0.7, p_b=0.1)
+    assert [record.probability(s) for s in ("x", "y", "z")] == [0.2, 0.4, 0.7]
+    for setting in ("q", "", 1):
+        with pytest.raises(DomainError) as error:
+            record.probability(setting)
+        assert str(error.value) == f"unknown tomography setting {setting!r}"
+    with pytest.raises(TypeError):
+        record.probability(["x"])
 
 
 # a record that breaks one bound, and the message it raises
@@ -365,6 +377,12 @@ def test_a_failing_grid_point_raises_what_the_per_point_path_raises(kind, theta0
     expected = _raised(lambda: _per_point(cfg, p_grid, kind))
     assert expected is not None
     assert _raised(lambda: exact_tomography_sweep(cfg, p_grid, kind)) is expected
+
+
+def test_readout_rows_are_the_same_on_every_call():
+    step = DecoherenceStep(12.0, 450.0, 350.0)
+    for visibility, decay in ((1.0, None), (0.9, None), (0.9, step)):
+        assert np.array_equal(_readout_rows(visibility, decay), _readout_rows(visibility, decay))
 
 
 def _per_member_forward(paulis, p_b, device):
