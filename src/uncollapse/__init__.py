@@ -10,6 +10,7 @@ Monte Carlo sampling with reproducible counter-based randomness.
 from types import ModuleType as _ModuleType
 
 from .channels import (
+    TOMO_SETTINGS,
     DecoherenceStep,
     KrausSet,
     PartialMeasurement,
@@ -71,7 +72,6 @@ from .qubit import (
     state_from_bloch,
 )
 from .tomography import (
-    TOMO_SETTINGS,
     TomographyRecord,
     bloch_reconstruct,
     exact_tomography_record,

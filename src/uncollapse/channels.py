@@ -37,6 +37,7 @@ from .qubit import (
     IDENTITY,
     PAULI_BASIS,
     PAULI_VEC,
+    ROUNDOFF_TOL,
     SIGMA_Z,
     TRACE_FLOOR,
     DeviceParams,
@@ -197,7 +198,7 @@ class RotationPulse:
         axis = np.array(self.axis, dtype=float)
         if axis.shape != (3,):
             raise DomainError("rotation axis must be a 3-vector")
-        if not abs(np.linalg.norm(axis) - 1.0) <= 1e-9:
+        if not abs(np.linalg.norm(axis) - 1.0) <= ROUNDOFF_TOL:
             raise DomainError("rotation axis must have unit length")
         if not math.isfinite(self.angle):
             raise DomainError(f"rotation angle must be finite, got {self.angle}")
@@ -224,6 +225,7 @@ _ANALYSIS_PULSES = {
     "y": RotationPulse((1.0, 0.0, 0.0), np.pi / 2.0),
     "z": RotationPulse((0.0, 0.0, 1.0), 0.0),
 }
+TOMO_SETTINGS = tuple(_ANALYSIS_PULSES)
 
 
 def tomography_rotation(setting: str) -> RotationPulse:

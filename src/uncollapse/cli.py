@@ -42,16 +42,17 @@ QPT_HEADER = ["p", "fidelity"]
 
 DEFAULT_P_GRID = [round(0.05 * i, 10) for i in range(20)]   # 0.00 .. 0.95
 
+# config key -> the ExperimentConfig field that it sets and whose default it takes
+_PHYSICS_KEYS = {"pi_fraction": "pi_fraction", "phi_m_rate_rad": "phi_m_rate",
+                 "decoherence": "decoherence_enabled", "use_echo_t2": "use_echo_t2",
+                 "p_error_fraction": "p_error_fraction"}
+
 # the config schema: a key takes the type of its default (see _typed)
 DEFAULT_CONFIG = {
     "theta0_rad": math.pi / 2.0,
-    "phi0_rad": 0.0,
+    "phi0_rad": PureState.phi0,
     "p_grid": DEFAULT_P_GRID,
-    "pi_fraction": 1.0,
-    "phi_m_rate_rad": 4.0 * math.pi,
-    "decoherence": False,
-    "use_echo_t2": True,
-    "p_error_fraction": 0.0,
+    **{key: getattr(ExperimentConfig, name) for key, name in _PHYSICS_KEYS.items()},
     "mode": "exact",
     "shots": 20000,
     "seed": 12345,
@@ -185,13 +186,9 @@ def assemble(raw: dict, args: argparse.Namespace) -> tuple[SweepSpec, Experiment
         base = ExperimentConfig(
             initial=PureState(config["theta0_rad"], config["phi0_rad"]),
             p=0.0,
-            pi_fraction=config["pi_fraction"],
             device=DeviceParams(**config["device"]),
-            decoherence_enabled=config["decoherence"],
-            phi_m_rate=config["phi_m_rate_rad"],
             timing=PulseTiming(**{f"{key}_ns": v for key, v in config["timing_ns"].items()}),
-            use_echo_t2=config["use_echo_t2"],
-            p_error_fraction=config["p_error_fraction"],
+            **{name: config[key] for key, name in _PHYSICS_KEYS.items()},
         )
     except SimulationError as exc:
         raise ConfigError(str(exc)) from exc

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import CLICK, ESCAPE, TransferOp, measurement_maps
+from .channels import CLICK, ESCAPE, TOMO_SETTINGS, TransferOp, measurement_maps
 from .errors import DomainError, StructuralError
 from .protocol import (
     _UNIT_TRACE,
@@ -32,7 +32,7 @@ from .protocol import (
     build_sequence,
     compile_sequence,
 )
-from .tomography import TOMO_SETTINGS, TomographyRecord, with_tomography
+from .tomography import TomographyRecord, with_tomography
 
 _WORD = 1 << 64
 # shots per stream in one pass of estimate_probabilities, which samples a

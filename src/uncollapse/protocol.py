@@ -24,7 +24,7 @@ probability of a pre-analysis detection.
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -46,6 +46,7 @@ from .channels import (  # noqa: F401
 )
 from .errors import DomainError, StructuralError, UndefinedStateError
 from .qubit import (
+    TRACE_FLOOR,
     DeviceParams,
     PureState,
     QubitState,
@@ -124,9 +125,9 @@ class PulseTiming:
     tomography_ns: float = 10.0
 
     def __post_init__(self):
-        for name in ("prepare_ns", "measure_ns", "idle_ns", "pi_pulse_ns", "tomography_ns"):
-            if not getattr(self, name) >= 0.0:
-                raise DomainError(f"{name} must be nonnegative")
+        for f in fields(self):
+            if not getattr(self, f.name) >= 0.0:
+                raise DomainError(f"{f.name} must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -352,18 +353,14 @@ def theory_polar_angle(kind: str, theta0: float, p: float) -> float:
 
     For a single partial measurement the null result pulls the polar angle
     to 2*atan(sqrt(1-p)*tan(theta0/2)); the reversal sequence lands at
-    pi - theta0 independent of p.
+    pi - theta0 independent of p.  The kind, theta0 and p are checked by
+    building the sequence, and theta0 is taken as the prepared state stores it.
     """
-    if not 0.0 <= theta0 <= np.pi + 1e-12:
-        raise DomainError("theta0 must lie in [0, pi]")
-    if not 0.0 <= p <= 1.0:
-        raise DomainError("p must lie in [0, 1]")
-    if kind == "collapse":
-        s = np.sqrt(1.0 - p) * np.sin(theta0 / 2.0)
-        c = np.cos(theta0 / 2.0)
-        if np.hypot(s, c) < 1e-9:
-            raise UndefinedStateError("state fully escapes: p = 1 with theta0 = pi")
-        return float(2.0 * np.arctan2(s, c))
+    theta = build_sequence(kind, ExperimentConfig(PureState(theta0), p)).steps[0].payload.theta0
     if kind == "uncollapse":
-        return float(np.pi - theta0)
-    raise DomainError(f"unknown sequence kind {kind!r}")
+        return float(np.pi - theta)
+    s = np.sqrt(1.0 - p) * np.sin(theta / 2.0)
+    c = np.cos(theta / 2.0)
+    if s * s + c * c <= TRACE_FLOOR:  # the trace of the null branch
+        raise UndefinedStateError("state fully escapes: p = 1 with theta0 = pi")
+    return float(2.0 * np.arctan2(s, c))

@@ -20,7 +20,7 @@ checks and this inversion are written once, for a (k, 4) table of rows
 :class:`TomographyRecord` and :func:`bloch_reconstruct` are their one-row cases.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,6 +28,7 @@ import numpy as np
 # perfbench/tracer.py looks the per-operation wrappers up
 from .channels import (  # noqa: F401
     CLICK,
+    TOMO_SETTINGS,
     DecoherenceStep,
     PartialMeasurement,
     apply_decoherence,
@@ -57,7 +58,6 @@ from .protocol import (
 from .qubit import (EXACT_TOL, ROUNDOFF_TOL, TRACE_FLOOR, BlochVector, DeviceParams, QubitState,
                     pauli_vectors, validate_bloch_rows)
 
-TOMO_SETTINGS = ("x", "y", "z")
 _FLIP_YZ = np.array([1.0, -1.0, -1.0])
 
 
@@ -71,7 +71,7 @@ def _check_table(table: np.ndarray, slack) -> np.ndarray:
         passed = np.concatenate((in_range, ~below), axis=1)
         index = passed.all(axis=1).argmin()
         check, row = passed[index].argmin(), table[index].tolist()
-        name, value = ("p_x", "p_y", "p_z", "p_b")[check % 4], row[check % 4]
+        name, value = fields(TomographyRecord)[check % 4].name, row[check % 4]
         if check < 4:
             raise DomainError(f"probability {name}={value} outside [0, 1]")
         bound = float(np.broadcast_to(slack, (len(table), 3))[index, check - 4])

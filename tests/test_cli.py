@@ -936,6 +936,13 @@ def test_exact_commands_build_no_record_and_reconstruct_no_member_alone(tmp_path
     assert sorted(calls) == ["bloch_rows"] + ["record"] * records
 
 
+def test_the_default_config_builds_the_library_defaults():
+    from uncollapse.cli import assemble
+
+    _, base = assemble({}, build_parser().parse_args(["collapse", "--out", "x.csv"]))
+    assert base == uncollapse.ExperimentConfig(uncollapse.PureState(math.pi / 2), 0.0)
+
+
 def _sampled_rows(tmp_path, command, config, shots, seed):
     """The sweep's config and the reference Bloch vector of each sampled
     row: its own record, reconstructed alone."""

@@ -1,8 +1,9 @@
 """Lint checks that need no linter: unused imports, unread constants, unread
 dataclass fields, unused definitions, stale cross-references, error messages
 raised from more than one place, raised messages that are not written out,
-CLI code that branches on the engine outside its one table source, and
-memoized functions without a listed reason.
+CLI code that branches on the engine outside its one table source,
+memoized functions without a listed reason, and tolerance literals without
+a name.
 
 They walk the syntax trees with ``ast``.  A name counts as read where it is
 loaded (``name``) or looked up as an attribute (``module.name``); binding it
@@ -38,15 +39,18 @@ TRACER_IMPORTS = {
 }
 
 # Error messages raised from more than one place, as templates with {} for
-# each formatted field.  A rule's message belongs to the one function that
-# checks the rule; an entry that is raised once again leaves the set.
-DUPLICATE_MESSAGES = {
-    "seed {} outside [0, 2**128)",
-    "unknown sequence kind {}",
-    "measurement strength must lie in [0, 1], got {}",
-    "need at least one initial state",
-    "decay times must be positive",
-}
+# each formatted field, and why.  A rule's message belongs to the one function
+# that checks the rule; an entry that is raised once again leaves the map.
+DUPLICATE_MESSAGES = MappingProxyType({
+    "seed {} outside [0, 2**128)":
+        "the CLI refuses a config's seed before the run (exit 2); _shot_uniforms checks a library call's",
+    "measurement strength must lie in [0, 1], got {}":
+        "a config checks its own p, grid_measurements each grid strength, a PartialMeasurement its p",
+    "need at least one initial state":
+        "each engine refuses an empty stack: fold for the exact one, _run_batch for the sampled one",
+    "decay times must be positive":
+        "pure_dephasing_time checks the T1 and T2 it is given, DecoherenceStep its T1 and T_phi",
+})
 
 # Every memoized function in the package, (module, qualified name), and why
 # it pays.  "identity": its shared objects let _run_batch run a step once for
@@ -67,8 +71,11 @@ CACHES = MappingProxyType({
 # text of the error it replaces, which the message checks cannot see.
 FROZEN_RERAISES = {
     ("cli", "raise ConfigError(str(exc)) from exc"),
-    ("qpt", "raise SingularInversionError(str(exc)) from exc"),
 }
+
+# A float literal this close to 0 or this large is a tolerance or a limit; it
+# is written once, as the value of a module-level NAME = literal.
+_TINY, _HUGE = 1e-3, 1e6
 
 _CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 _REFERENCE = re.compile(r":(?:func|meth):`~?([\w.]+)`")
@@ -207,6 +214,16 @@ def _cached(tree: ast.AST, prefix: str = "") -> set:
     return names
 
 
+def _unnamed_floats(tree: ast.Module) -> list:
+    """The line of each float literal of ``tree`` with 0 < |x| < ``_TINY`` or
+    |x| >= ``_HUGE`` that is not the value of a module-level ``NAME = literal``."""
+    named = {id(node.value) for node in tree.body if isinstance(node, ast.Assign)
+             and all(isinstance(t, ast.Name) and _CONSTANT.fullmatch(t.id) for t in node.targets)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and type(node.value) is float and id(node) not in named
+                  and (0.0 < abs(node.value) < _TINY or abs(node.value) >= _HUGE))
+
+
 def _repeated(templates: list) -> set:
     return {template for template in templates if templates.count(template) > 1}
 
@@ -287,7 +304,7 @@ def test_the_reference_check_sees_a_stale_name():
 
 def test_each_error_message_is_raised_from_one_place():
     templates = [t for path in PACKAGE.glob("*.py") for t in _message_templates(_tree(path))]
-    assert _repeated(templates) == DUPLICATE_MESSAGES
+    assert _repeated(templates) == set(DUPLICATE_MESSAGES)
 
 
 def test_the_message_check_sees_a_planted_duplicate():
@@ -352,3 +369,18 @@ def test_the_mode_check_sees_a_planted_branch():
         "SAMPLED = Spec().mode\n"
     )
     assert _mode_readers(ast.parse(code)) == {"Spec", "_table", "cmd_qpt", "<module>"}
+
+
+def test_every_tolerance_literal_is_a_named_module_constant():
+    unnamed = {(path.stem, line) for path in PACKAGE.glob("*.py") for line in _unnamed_floats(_tree(path))}
+    assert not unnamed
+
+
+def test_the_tolerance_check_sees_unnamed_tiny_and_huge_literals():
+    code = (
+        "TOL = 1e-9\nBIG = 2e6\nPAIR = (1e-9, 2.0)\nLIMIT: float = 1e-8\n"
+        "def f(x):\n    return x < 1e-9 or x > 1e12 or x == 0.5 or x > -1e-4 or x == 0.0\n"
+        "class Pulse:\n    EPS = 1e-7\n"
+        "STEPS = 10**6\n"
+    )
+    assert _unnamed_floats(ast.parse(code)) == [3, 4, 6, 6, 6, 8]

@@ -315,6 +315,27 @@ def test_theory_polar_angle_domain_errors():
     assert abs(theory_polar_angle("collapse", np.pi, 0.9) - np.pi) < 1e-12
 
 
+@pytest.mark.parametrize("kind, theta0, p, message", [
+    ("collapse", np.nan, 0.3, "polar angle must lie in [0, pi], got nan"),
+    ("uncollapse", 1.0, np.nan, "measurement strength must lie in [0, 1], got nan"),
+    ("sideways", 1.0, 0.5, "unknown sequence kind 'sideways'"),
+])
+def test_theory_polar_angle_refuses_what_building_the_sequence_refuses(kind, theta0, p, message):
+    with pytest.raises(DomainError) as built:
+        build_sequence(kind, ExperimentConfig(PureState(theta0), p))
+    with pytest.raises(DomainError) as closed_form:
+        theory_polar_angle(kind, theta0, p)
+    assert str(closed_form.value) == str(built.value) == message
+
+
+def test_theory_polar_angle_reads_theta0_as_the_prepared_state_stores_it():
+    # an angle an ulp-scale step past pi is pi to PureState, and so to the closed forms
+    theta0 = np.pi + 5e-13
+    assert theory_polar_angle("uncollapse", theta0, 0.3) == 0.0
+    assert theory_polar_angle("collapse", theta0, 0.3) <= np.pi
+    assert theory_polar_angle("collapse", theta0, 0.3) == theory_polar_angle("collapse", np.pi, 0.3)
+
+
 def test_relaxation_raises_reversal_success_above_ideal():
     # energy relaxation funnels weight toward |0>, which never tunnels, so
     # with decoherence on the two-null probability exceeds 1 - p.

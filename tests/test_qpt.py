@@ -133,6 +133,13 @@ def test_probe_set_structural_checks():
         ProbeSet(degenerate, outs)
 
 
+def test_probe_set_refuses_inputs_that_are_not_pure_states():
+    # angle pairs and density-operator states are refused before any design is built
+    for inputs in (((0.0, 0.0),) * 4, PROBE_STATES[:3] + (state_from_angles(PROBE_STATES[3]),)):
+        with pytest.raises(StructuralError, match="process tomography probes must be PureStates"):
+            ProbeSet(inputs, _probe_outputs(np.eye(2)))
+
+
 def test_chi_matrix_shape_check():
     with pytest.raises(StructuralError):
         ChiMatrix(np.eye(3))
@@ -348,9 +355,9 @@ def test_design_and_probe_checks_still_run_for_every_probe_tuple():
 def test_every_probe_set_that_passes_the_gram_check_is_well_conditioned():
     # the design matrix's condition number is sqrt(cond(Gram)); the Gram
     # matrix of four pure probes has trace 4 and determinant at least the
-    # floor, so its condition number is at most 4 (4/3)**3 / floor.  The
-    # numerically-singular and LinAlgError raises of qpt.py are therefore
-    # guards that no probe set of PureStates reaches.
+    # floor, so its condition number is at most 4 (4/3)**3 / floor.  ProbeSet
+    # takes PureStates alone, so every design it lets through is conditioned
+    # at most this bound, about 3,080, and the solve needs no conditioning guard.
     from uncollapse.qpt import _GRAM_FLOOR, _design_matrix
 
     bound = np.sqrt(4.0 * (4.0 / 3.0) ** 3 / _GRAM_FLOOR)
